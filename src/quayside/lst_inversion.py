@@ -28,12 +28,9 @@ _LN2 = np.log(_LONG(2))
 
 @dataclass(frozen=True)
 class InversionSpec:
-    method: str = "gaver-stehfest"
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        if self.method != "gaver-stehfest":
-            raise ValueError("unknown inversion method %r" % (self.method,))
         if self.order % 2 != 0 or not (4 <= self.order <= 20):
             raise ValueError("order must be even and in [4, 20], got %r" % (self.order,))
 

@@ -1,7 +1,9 @@
 """Discrete-event simulation oracle for the single-server queue.
 
-Covers non-preemptive M|G|1 under FIFO or LIFO order and the
-preemptive-priority queue under the resume / loss / repeat disciplines.
+One event engine runs every case: non-preemptive M|G|1 under FIFO or LIFO
+order, and the preemptive-priority queue under the resume / loss / repeat
+disciplines.  The order within a class is the only thing FIFO and LIFO
+change; preemption can only happen when there are at least two classes.
 Every run is driven by numpy substreams derived from one master seed
 (separate streams per class for interarrivals and service draws), so a
 given SimConfig always reproduces bit-identical results and adding a
@@ -18,23 +20,35 @@ Discipline semantics, fixed here once:
 
 Ties between an arrival and a completion at the same instant resolve
 completion-first, so a job with zero remaining work is never preempted.
+Simultaneous arrivals enter in class order.  A job's wait runs from its
+arrival to its first start of service; waits are kept in arrival order,
+and the 95% confidence interval of their mean comes from 20 batch means
+over that order.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import StationarityError
-from .traffic import traffic_coefficients
+from .traffic import REPEAT, RESUME, traffic_coefficients
 from .waiting_time import FIFO, LIFO
 
 __all__ = ["SimConfig", "SimResult", "simulate_mg1", "simulate_priority"]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # draws per generator call; it fixes which draws an Erlang service sums
+# values turned into Python floats at a time: converting a whole chunk at
+# once leaves megabytes of objects behind and slows the caller's next steps
+_SLICE = 1 << 11
+_BATCHES = 20
+# Student t quantile t_{0.975} with _BATCHES - 1 = 19 degrees of freedom,
+# correctly rounded from a 30-digit root of the t distribution function
+_T_975 = 2.0930240544083096
+_NO_ARRIVAL = (math.inf, None)
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,8 @@ class SimConfig:
     def __post_init__(self):
         if self.total_arrivals < 1:
             raise ValueError("total_arrivals must be >= 1")
+        if self.warmup_arrivals is not None and self.warmup_arrivals < 0:
+            raise ValueError("warmup_arrivals must be >= 0, got %r" % (self.warmup_arrivals,))
         object.__setattr__(self, "ecdf_grid", tuple(sorted(self.ecdf_grid)))
 
     @property
@@ -70,55 +86,138 @@ class SimResult:
     seed: int
 
 
-class _Stream:
-    """Chunked draws from one substream; extends itself on demand."""
-
-    def __init__(self, rng, draw):
-        self._rng = rng
-        self._draw = draw
-        self._buf = draw(rng, _CHUNK)
-        self._i = 0
-
-    def take(self):
-        if self._i == len(self._buf):
-            self._buf = self._draw(self._rng, _CHUNK)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
-
-
-class _ArrivalStream(_Stream):
-    """Arrival epochs for one Poisson class."""
-
-    def __init__(self, rng, rate):
-        self._t = 0.0
-        super().__init__(rng, lambda r, n: r.exponential(1.0 / rate, n))
-
-    def take(self):
-        self._t += super().take()
-        return self._t
-
-
 def _substream(seed, group, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group, index)))
 
 
-def _batch_means_ci(waits, n_batches=20):
-    waits = np.asarray(waits)
-    if len(waits) < n_batches:
+def _arrivals(seed, rates):
+    """Endless (epoch, class) pairs of all Poisson classes in time order.
+
+    Class k's epochs are running sums of _CHUNK-sized exponential draws
+    from substream (0, k).  Each round yields every buffered epoch below
+    the smallest buffered maximum, which no later draw can undercut, and
+    refills the classes that set that bound; equal epochs go lower class
+    first.
+    """
+    rngs = [_substream(seed, 0, k) for k in range(len(rates))]
+
+    def draw(k, last):
+        block = rngs[k].exponential(1.0 / rates[k], _CHUNK)
+        block[0] += last
+        return np.cumsum(block, out=block)  # sequential: same bits as a running sum
+
+    bufs = [draw(k, 0.0) for k in range(len(rates))]
+    labels = np.arange(len(rates))
+    while True:
+        bound = min(buf[-1] for buf in bufs)
+        cuts = [int(np.searchsorted(buf, bound)) for buf in bufs]
+        epochs = np.concatenate([buf[:cut] for buf, cut in zip(bufs, cuts)])
+        order = np.argsort(epochs, kind="stable")
+        epochs, classes = epochs[order], np.repeat(labels, cuts)[order]
+        for i in range(0, len(epochs), _SLICE):
+            yield from zip(epochs[i:i + _SLICE].tolist(), classes[i:i + _SLICE].tolist())
+        for k, cut in enumerate(cuts):
+            rest = bufs[k][cut:]
+            bufs[k] = np.concatenate((rest, draw(k, rest[-1]))) if rest[-1] == bound else rest
+
+
+def _services(rng, law):
+    """Endless service times of one class, drawn in _CHUNK blocks."""
+    while True:
+        block = law.sample(rng, _CHUNK)
+        for i in range(0, _CHUNK, _SLICE):
+            yield from block[i:i + _SLICE].tolist()
+
+
+def _batch_means_ci(waits):
+    if len(waits) < _BATCHES:
         return float(np.mean(waits)), math.inf
-    usable = (len(waits) // n_batches) * n_batches
-    batches = waits[:usable].reshape(n_batches, -1).mean(axis=1)
-    half = stats.t.ppf(0.975, n_batches - 1) * batches.std(ddof=1) / math.sqrt(n_batches)
+    usable = (len(waits) // _BATCHES) * _BATCHES
+    batches = waits[:usable].reshape(_BATCHES, -1).mean(axis=1)
+    half = _T_975 * batches.std(ddof=1) / math.sqrt(_BATCHES)
     return float(np.mean(waits)), float(half)
 
 
 def _ecdf(waits, grid):
     if not grid:
         return ()
-    srt = np.sort(np.asarray(waits))
+    srt = np.sort(waits)
     return tuple(float(np.searchsorted(srt, x, side="right")) / len(srt) for x in grid)
+
+
+def _simulate(classes, discipline, cfg):
+    """The event loop behind both public entry points.
+
+    `classes` holds (arrival rate, service law) pairs, highest priority
+    first; `discipline` is FIFO or LIFO (one class) or a preemption
+    discipline (FIFO within each class).
+    """
+    warm = cfg.warmup
+    arrivals = islice(_arrivals(cfg.seed, [rate for rate, _ in classes]),
+                      cfg.total_arrivals + warm)
+    services = [_services(_substream(cfg.seed, 1, k), law) for k, (_, law) in enumerate(classes)]
+    queues = [deque() for _ in classes]  # jobs: (arrival time, index, work or None if unstarted)
+    enqueue = [q.appendleft if discipline == LIFO else q.append for q in queues]
+    waits = np.empty(cfg.total_arrivals)
+    busy = [0.0] * len(classes)
+    completed = [0] * len(classes)
+    lost = [0] * len(classes)
+    idle_found = 0
+    made = 0
+    t = 0.0
+    completion = math.inf  # of the job in service, of class `serving`
+    serving = None
+    at, k = next(arrivals, _NO_ARRIVAL)
+    while completion < math.inf or at < math.inf:
+        if completion <= at:  # completion first on ties
+            t = completion
+            completed[serving] += 1
+            completion = math.inf
+        else:
+            t = at
+            if completion == math.inf:
+                if made >= warm:
+                    idle_found += 1
+            elif serving > k:
+                left = completion - t
+                busy[serving] -= left
+                completion = math.inf
+                if discipline == RESUME:
+                    queues[serving].appendleft((None, None, left))
+                elif discipline == REPEAT:
+                    # drawn now, yet still its class's next draw: it starts
+                    # before any other job of its class
+                    queues[serving].appendleft((None, None, next(services[serving])))
+                else:
+                    lost[serving] += 1
+            enqueue[k]((t, made, None))
+            made += 1
+            at, k = next(arrivals, _NO_ARRIVAL)
+        if completion == math.inf:
+            for serving, queue in enumerate(queues):
+                if queue:
+                    arrived, idx, work = queue.popleft()
+                    if work is None:
+                        work = next(services[serving])
+                        if idx >= warm:
+                            waits[idx - warm] = t - arrived
+                    busy[serving] += work
+                    completion = t + work
+                    break
+
+    mean, half = _batch_means_ci(waits)
+    return SimResult(
+        mean_wait=mean,
+        ci_half_width=half,
+        ecdf=_ecdf(waits, cfg.ecdf_grid),
+        utilization_prefix=tuple(float(v) for v in np.cumsum(busy) / t),
+        completed=tuple(completed),
+        lost=tuple(lost),
+        idle_at_arrival=idle_found / cfg.total_arrivals,
+        horizon=t,
+        total_busy_time=float(np.sum(busy)),
+        seed=cfg.seed,
+    )
 
 
 def simulate_mg1(d, a, order, cfg):
@@ -130,59 +229,7 @@ def simulate_mg1(d, a, order, cfg):
         raise StationarityError(
             "oracle only runs stationary cases: traffic coefficient %.6g >= 1" % rho
         )
-    arrivals = _ArrivalStream(_substream(cfg.seed, 0, 0), a)
-    services = _Stream(_substream(cfg.seed, 1, 0), lambda r, n: d.sample(r, n))
-
-    n_all = cfg.total_arrivals + cfg.warmup
-    warm = cfg.warmup
-    waits = np.empty(cfg.total_arrivals)
-    queue = deque()              # (arrival_time, arrival_index)
-    t = 0.0
-    completion = math.inf
-    busy_time = 0.0
-    idle_found = 0
-    made = 0
-    next_arr = arrivals.take()
-
-    def start(arrival_time, idx):
-        nonlocal completion, busy_time
-        svc = services.take()
-        busy_time += svc
-        completion = t + svc
-        if idx >= warm:
-            waits[idx - warm] = t - arrival_time
-
-    while made < n_all or completion < math.inf or queue:
-        if completion <= next_arr or made >= n_all:
-            t = completion
-            completion = math.inf
-            if queue:
-                at, idx = queue.popleft() if order == FIFO else queue.pop()
-                start(at, idx)
-        else:
-            t = next_arr
-            if completion == math.inf:
-                if made >= warm:
-                    idle_found += 1
-                start(t, made)
-            else:
-                queue.append((t, made))
-            made += 1
-            next_arr = arrivals.take() if made < n_all else math.inf
-
-    mean, half = _batch_means_ci(waits)
-    return SimResult(
-        mean_wait=mean,
-        ci_half_width=half,
-        ecdf=_ecdf(waits, cfg.ecdf_grid),
-        utilization_prefix=(busy_time / t,),
-        completed=(n_all,),
-        lost=(0,),
-        idle_at_arrival=idle_found / cfg.total_arrivals,
-        horizon=t,
-        total_busy_time=busy_time,
-        seed=cfg.seed,
-    )
+    return _simulate(((a, d),), order, cfg)
 
 
 def simulate_priority(sc, cfg):
@@ -195,88 +242,4 @@ def simulate_priority(sc, cfg):
                report.rho[report.first_overloaded_class - 1]),
             first_overloaded_class=report.first_overloaded_class,
         )
-    K = len(sc.classes)
-    arr = [_ArrivalStream(_substream(cfg.seed, 0, k), sc.classes[k].lam) for k in range(K)]
-    svc = [
-        _Stream(_substream(cfg.seed, 1, k),
-                (lambda dist: lambda r, n: dist.sample(r, n))(sc.classes[k].service))
-        for k in range(K)
-    ]
-    next_arr = [arr[k].take() for k in range(K)]
-
-    n_all = cfg.total_arrivals + cfg.warmup
-    warm = cfg.warmup
-    waits = []
-    queues = [deque() for _ in range(K)]   # entries: [remaining|None, arrival_t, first_start|None, idx]
-    busy = [0.0] * K
-    completed = [0] * K
-    lost = [0] * K
-    t = 0.0
-    made = 0
-    idle_found = 0
-    serving = None  # [class, remaining, arrival_t, first_start, idx]
-
-    def dispatch():
-        nonlocal serving
-        for k in range(K):
-            if queues[k]:
-                remaining, at, fs, idx = queues[k].popleft()
-                if remaining is None:
-                    remaining = svc[k].take()
-                if fs is None:
-                    fs = t
-                    if idx >= warm:
-                        waits.append(t - at)
-                serving = [k, remaining, at, fs, idx]
-                return
-
-    while True:
-        na = min(next_arr) if made < n_all else math.inf
-        nc = t + serving[1] if serving is not None else math.inf
-        if nc == math.inf and na == math.inf:
-            break
-        if nc <= na:
-            # completion first on ties
-            k = serving[0]
-            busy[k] += serving[1]
-            t = nc
-            completed[k] += 1
-            serving = None
-        else:
-            if serving is not None:
-                serving[1] -= na - t
-                busy[serving[0]] += na - t
-            t = na
-            k = next_arr.index(na)
-            next_arr[k] = arr[k].take() if made + 1 < n_all else math.inf
-            if serving is None and made >= warm:
-                idle_found += 1
-            queues[k].append([None, t, None, made])
-            made += 1
-            if serving is not None and serving[0] > k:
-                pk, remaining, at, fs, idx = serving
-                if sc.discipline == "resume":
-                    queues[pk].appendleft([remaining, at, fs, idx])
-                elif sc.discipline == "repeat":
-                    queues[pk].appendleft([None, at, fs, idx])
-                else:
-                    lost[pk] += 1
-                serving = None
-        if serving is None:
-            dispatch()
-
-    waits = np.asarray(waits)
-    mean, half = _batch_means_ci(waits)
-    total_busy = float(np.sum(busy))
-    return SimResult(
-        mean_wait=mean,
-        ci_half_width=half,
-        ecdf=_ecdf(waits, cfg.ecdf_grid),
-        utilization_prefix=tuple(float(v) for v in np.cumsum(busy) / t),
-        completed=tuple(completed),
-        lost=tuple(lost),
-        idle_at_arrival=idle_found / cfg.total_arrivals,
-        horizon=t,
-        total_busy_time=total_busy,
-        seed=cfg.seed,
-    )
+    return _simulate([(c.lam, c.service) for c in sc.classes], sc.discipline, cfg)

@@ -1,7 +1,13 @@
+import heapq
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quayside
 from quayside import (
     Exponential,
     PriorityClass,
@@ -14,6 +20,7 @@ from quayside import (
     traffic_coefficients,
 )
 from quayside.reference_tables import traffic_scenario
+from quayside.sim_oracle import _CHUNK, _T_975, _arrivals, _substream
 
 MM1 = (Exponential(5), 4.0)  # rho = 0.8, mean wait 0.8, W(x) = 1 - 0.8 e^{-x}
 
@@ -108,17 +115,59 @@ def test_priority_repeat_runs_and_loses_nothing():
         assert got == pytest.approx(want, abs=0.03)
 
 
-def test_repeat_single_class_reduces_to_mg1_fifo():
+@pytest.mark.parametrize("discipline", ["resume", "loss", "repeat"])
+def test_repeat_single_class_reduces_to_mg1_fifo(discipline):
     # no higher class exists, so nothing can interrupt: same substreams,
-    # same dynamics, same realized waits as the plain queue
+    # same dynamics, the same result as the plain queue
     d, a = MM1
     cfg = small_cfg(n=5 * 10**4, grid=(0.0, 1.0, 3.0))
-    sc = PriorityScenario((PriorityClass(a, d),), "repeat")
-    res_p = simulate_priority(sc, cfg)
-    res_q = simulate_mg1(d, a, "fifo", cfg)
-    assert res_p.mean_wait == pytest.approx(res_q.mean_wait, abs=1e-12)
-    assert res_p.ecdf == res_q.ecdf
-    assert res_p.utilization_prefix[0] == pytest.approx(res_q.utilization_prefix[0], abs=1e-12)
+    sc = PriorityScenario((PriorityClass(a, d),), discipline)
+    assert simulate_priority(sc, cfg) == simulate_mg1(d, a, "fifo", cfg)
+
+
+def test_arrival_merge_matches_running_sums():
+    # reference: per-class running sums of the same chunked draws, merged
+    # by (epoch, class); enough arrivals to cross chunk boundaries
+    rates = (4.0, 0.01, 1.0)
+    n = 150_000
+    streams = []
+    for k, rate in enumerate(rates):
+        rng, t, epochs = _substream(2016, 0, k), 0.0, []
+        for _ in range(3):
+            for v in rng.exponential(1.0 / rate, _CHUNK):
+                t += v
+                epochs.append((t, k))
+        streams.append(epochs)
+    want = list(heapq.merge(*streams))[:n]
+    gen = _arrivals(2016, rates)
+    assert [next(gen) for _ in range(n)] == want
+
+
+def test_two_class_loss_with_unequal_rates():
+    sc = PriorityScenario(
+        (PriorityClass(4.0, Exponential(10)), PriorityClass(0.01, Exponential(1))),
+        "loss",
+    )
+    cfg = small_cfg(n=10**5)
+    res = simulate_priority(sc, cfg)
+    assert sum(res.completed) + sum(res.lost) == cfg.total_arrivals + cfg.warmup
+    assert res.lost[1] > 0
+    for got, want in zip(res.utilization_prefix, traffic_coefficients(sc).rho):
+        assert got == pytest.approx(want, abs=0.02)
+    assert simulate_priority(sc, cfg) == res
+
+
+@pytest.mark.parametrize("discipline", ["resume", "loss", "repeat"])
+def test_preemption_fate_sets_utilization(discipline):
+    # exponential services cannot tell repeat from resume (memoryless); a
+    # uniform low class puts the three disciplines' rho_2 at 0.70, 0.56 and 0.91
+    sc = PriorityScenario(
+        (PriorityClass(0.5, Exponential(2)), PriorityClass(0.3, Uniform(1, 2))),
+        discipline,
+    )
+    res = simulate_priority(sc, small_cfg(n=10**5))
+    for got, want in zip(res.utilization_prefix, traffic_coefficients(sc).rho):
+        assert got == pytest.approx(want, abs=0.02)
 
 
 def test_ecdf_nondecreasing_and_counts():
@@ -143,3 +192,22 @@ def test_warmup_default_is_ten_percent():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(seed=1, total_arrivals=0)
+    with pytest.raises(ValueError):
+        SimConfig(seed=1, total_arrivals=10, warmup_arrivals=-5)
+
+
+def test_t_quantile_constant():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nu = 19
+        cdf = lambda t: 1 - mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2
+        root = mpmath.findroot(lambda t: cdf(t) - mpmath.mpf("0.975"), 2.09)
+        assert abs(_T_975 - root) <= 1e-15
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(quayside.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, quayside.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

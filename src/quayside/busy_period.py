@@ -7,6 +7,7 @@ fixed point, which is the probabilistically meaningful branch (it stays
 correct even when the queue is overloaded).
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError
@@ -30,26 +31,26 @@ def busy_period_lst(d, a, s, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Raises ConvergenceError (carrying the last iterate and residual) if
     the residual is still above `tol` after `max_iter` iterations.
     """
-    if s <= 0:
-        raise ValueError("s must be positive, got %r" % (s,))
-    if a <= 0:
-        raise ValueError("arrival rate must be positive, got %r" % (a,))
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite, got %r" % (s,))
+    if not 0 < a < math.inf:
+        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
     if tol <= 0:
         raise ValueError("tol must be positive, got %r" % (tol,))
 
+    # beta(s + a - a*nxt), computed for the residual, is the next iterate:
+    # one transform evaluation per step.  nxt <= 1 keeps the argument >= s.
     pi = 0.0
+    nxt = d.lst(s + a - a * pi)
     for it in range(1, max_iter + 1):
-        arg = s + a - a * pi
-        # pi <= 1 keeps the argument >= s > 0 throughout
-        assert arg > 0.0
-        nxt = d.lst(arg)
         if nxt < pi:
             # monotone iterates can only stall on floating-point noise
             nxt = pi
-        residual = abs(nxt - d.lst(s + a - a * nxt))
+        beta = d.lst(s + a - a * nxt)
+        residual = abs(nxt - beta)
         if residual <= tol:
             return BusyPeriodSolution(value=nxt, iterations=it, residual=residual)
-        pi = nxt
+        pi, nxt = nxt, beta
     raise ConvergenceError(
         "Kendall iteration did not reach tol=%g in %d iterations (residual %g)"
         % (tol, max_iter, residual),

@@ -22,10 +22,10 @@ from .errors import (
 )
 from .estimation import ARRIVALS, SERVICE, estimate_arrival_rate, estimate_service_rate, load_observations
 from .lst_inversion import DEFAULT_ORDER, InversionSpec, invert
-from .reproduce import all_table_ids, reproduce
+from .reproduce import reproduce
 from .scenario import Mg1Scenario, load_scenario
 from .sim_oracle import SimConfig, simulate_mg1, simulate_priority
-from .traffic import PriorityScenario, stationarity_verdict, traffic_coefficients
+from .traffic import traffic_coefficients
 from .waiting_time import FIFO, LIFO, fifo_wait_lst, lifo_wait_lst, wait_cdf
 
 __all__ = ["run", "main"]
@@ -91,7 +91,7 @@ def _build_parser():
     sp.add_argument("--transform", required=True,
                     help="one_over_s, one_over_s_plus_1, or a distribution literal")
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--inv-order", "--order", dest="inv_order", type=int, default=DEFAULT_ORDER)
+    sp.add_argument("--inv-order", type=int, default=DEFAULT_ORDER)
     add_format(sp)
 
     sp = sub.add_parser("reproduce", help="recompute the source tables and report errata")
@@ -125,7 +125,6 @@ def _cmd_wait(args, out):
         print("warning: traffic coefficient >= 1; transform value is formal", file=sys.stderr)
     _emit([(args.order, _num(ev.point), _num(ev.value), str(ev.stationary).lower())],
           ("discipline", "s", "w", "stationary"), args.format, out)
-    return EXIT_OK
 
 
 def _cmd_cdf(args, out):
@@ -133,7 +132,6 @@ def _cmd_cdf(args, out):
     ev = wait_cdf(args.order, d, args.rate, args.x, InversionSpec(order=args.inv_order))
     _emit([(args.order, _num(ev.point), _num(ev.value))],
           ("discipline", "x", "W"), args.format, out)
-    return EXIT_OK
 
 
 def _cmd_traffic(args, out):
@@ -141,19 +139,17 @@ def _cmd_traffic(args, out):
     if isinstance(sc, Mg1Scenario):
         raise ScenarioError("traffic needs a priority scenario (discipline + classes)")
     report = traffic_coefficients(sc)
-    verdict = stationarity_verdict(report)
     rows = [
         (str(k + 1), sc.classes[k].service.literal(), _num(sc.classes[k].lam),
          _num(report.sigma[k]), _num(report.rho[k]), str(report.stationary_flags[k]).lower())
         for k in range(len(sc.classes))
     ]
     _emit(rows, ("class", "service", "lambda", "sigma", "rho", "stationary"), args.format, out)
-    if verdict.stationary:
+    if report.stationary:
         print("stationary: all classes viable", file=sys.stderr)
     else:
         print("overloaded from class %d (stationary prefix 1..%d)"
-              % (verdict.first_overloaded_class, verdict.stationary_prefix), file=sys.stderr)
-    return EXIT_OK
+              % (report.first_overloaded_class, report.stationary_prefix), file=sys.stderr)
 
 
 def _cmd_simulate(args, out):
@@ -176,49 +172,41 @@ def _cmd_simulate(args, out):
             rows.append(("lost_%d" % k, str(lost), ""))
     rows.append(("idle_at_arrival", _num(res.idle_at_arrival), ""))
     _emit(rows, ("metric", "value", "ci_half_width"), args.format, out)
-    return EXIT_OK
+
+
+# --kind -> (observation kind, parameter label, estimator)
+_ESTIMATORS = {
+    "arrival": (ARRIVALS, "arrival_rate", estimate_arrival_rate),
+    "service": (SERVICE, "service_rate", estimate_service_rate),
+}
 
 
 def _cmd_estimate(args, out):
-    if args.kind == "arrival":
-        sample = load_observations(args.file, kind=ARRIVALS)
-        value = estimate_arrival_rate(sample)
-        label = "arrival_rate"
-    else:
-        sample = load_observations(args.file, kind=SERVICE)
-        value = estimate_service_rate(sample)
-        label = "service_rate"
-    _emit([(label, _num(value), str(len(sample.values)))],
+    kind, label, estimator = _ESTIMATORS[args.kind]
+    sample = load_observations(args.file, kind=kind)
+    _emit([(label, _num(estimator(sample)), str(len(sample.values)))],
           ("parameter", "estimate", "n"), args.format, out)
-    return EXIT_OK
+
+
+_CATALOG = {
+    "one_over_s": lambda s: 1.0 / s,
+    "one_over_s_plus_1": lambda s: 1.0 / (s + 1.0),
+}
 
 
 def _cmd_invert(args, out):
     name = args.transform.strip()
-    if name == "one_over_s":
-        fn = lambda s: 1.0 / s
-    elif name == "one_over_s_plus_1":
-        fn = lambda s: 1.0 / (s + 1.0)
-    else:
-        d = parse_distribution(name)
-        fn = d.lst
+    fn = _CATALOG[name] if name in _CATALOG else parse_distribution(name).lst
     value = invert(fn, args.x, InversionSpec(order=args.inv_order))
     _emit([(name, _num(args.x), _num(value))], ("transform", "x", "value"), args.format, out)
-    return EXIT_OK
 
 
 def _cmd_reproduce(args, out):
-    if args.tables in ("all", "wait", "traffic"):
-        ids = args.tables
-    else:
-        ids = [t.strip() for t in args.tables.split(",") if t.strip()]
-    tables, errata = reproduce(ids)
+    tables, errata = reproduce(args.tables)
     for table in tables:
         if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["table", table.table_id])
-            writer.writerow(table.headers)
-            writer.writerows(table.rows)
+            # the ("table", id) pair heads each table's block of rows
+            _emit([table.headers, *table.rows], ("table", table.table_id), "csv", out)
         else:
             out.write("Table %s\n" % table.table_id)
             _emit(list(table.rows), table.headers, "text", out)
@@ -229,7 +217,6 @@ def _cmd_reproduce(args, out):
     for cell in errata:
         out.write("  table %s row %d %s: printed %s, recomputed %.6g\n"
                   % (cell.table_id, cell.row, cell.column, cell.printed, cell.recomputed))
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -248,7 +235,8 @@ def run(argv, out=None):
     out = out or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        _COMMANDS[args.command](args, out)
+        return EXIT_OK
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

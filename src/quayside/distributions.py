@@ -17,6 +17,7 @@ __all__ = [
     "Uniform",
     "Erlang2",
     "Gamma3",
+    "LAWS",
     "parse_distribution",
 ]
 
@@ -168,6 +169,14 @@ class Gamma3(_ErlangBase):
         return "gamma3(%g)" % self.rate
 
 
+# literal name -> (law, parameter names in literal and reference-table order)
+LAWS = {
+    "exp": (Exponential, ("b",)),
+    "unif": (Uniform, ("lo", "hi")),
+    "erlang2": (Erlang2, ("b",)),
+    "gamma3": (Gamma3, ("b",)),
+}
+
 _LITERAL_RE = re.compile(r"^\s*([a-z0-9]+)\s*\(\s*([^)]*)\s*\)\s*$")
 
 
@@ -185,15 +194,10 @@ def parse_distribution(text):
         args = [float(p) for p in argtext.split(",")] if argtext.strip() else []
     except ValueError:
         raise ValueError("bad numeric parameter in distribution literal %r" % (text,))
+    law, params = LAWS.get(name, (None, ()))
+    if law is None or len(args) != len(params):
+        raise ValueError("unknown distribution literal: %r" % (text,))
     try:
-        if name == "exp" and len(args) == 1:
-            return Exponential(args[0])
-        if name == "unif" and len(args) == 2:
-            return Uniform(args[0], args[1])
-        if name == "erlang2" and len(args) == 1:
-            return Erlang2(args[0])
-        if name == "gamma3" and len(args) == 1:
-            return Gamma3(args[0])
+        return law(*args)
     except ValueError as exc:
         raise ValueError("invalid %s literal %r: %s" % (name, text, exc))
-    raise ValueError("unknown distribution literal: %r" % (text,))

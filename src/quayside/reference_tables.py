@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
 
-from .distributions import Erlang2, Exponential, Gamma3, Uniform
+from .distributions import LAWS
 from .traffic import PriorityClass, PriorityScenario, traffic_coefficients
 
 __all__ = [
@@ -70,15 +70,8 @@ def traffic_table_ids():
 
 
 def _row_distribution(family, row):
-    if family == "exp":
-        return Exponential(row["b"])
-    if family == "unif":
-        return Uniform(row["lo"], row["hi"])
-    if family == "erlang2":
-        return Erlang2(row["b"])
-    if family == "gamma3":
-        return Gamma3(row["b"])
-    raise ValueError("unknown service family %r" % (family,))
+    law, params = LAWS[family]
+    return law(*(row[p] for p in params))
 
 
 def wait_table(table_id):

@@ -63,28 +63,27 @@ def _render_wait_table(table_id, inv=InversionSpec()):
         if delta > 1e-3:
             notes.append("row %d: w(s) deviates from printed by %.2g" % (i, delta))
     notes.append("* printed W(x) column is non-normative (inversion method unknown)")
-    return RenderedTable(table_id, headers, tuple(out_rows), tuple(notes)), []
+    return RenderedTable(table_id, headers, tuple(out_rows), tuple(notes))
 
 
 def _render_traffic_table(table_id):
     errata = recompute_table(table_id)
-    spec = reference_tables.load_tables()["traffic_tables"][table_id]
+    classes = reference_tables.traffic_scenario(table_id).classes
     by_row = {}
     for cell in errata.cells:
         by_row.setdefault(cell.row, {})[cell.column] = cell
     headers = ("k", "service", "lambda", "sigma/beta1 ours", "printed", "rho ours", "rho printed", "status")
     out_rows = []
     notes = []
-    for i, raw in enumerate(spec["rows"], start=1):
+    for i, cls in enumerate(classes, start=1):
         cells = by_row[i]
         aux = cells.get("beta1") or cells.get("sigma")
         rho = cells["rho"]
         status = rho.status if aux is None or aux.status != ERRATUM else ERRATUM
-        svc = reference_tables._row_distribution(spec["service_family"], raw)
         out_rows.append((
             str(i),
-            svc.literal(),
-            "%g" % raw["lambda"],
+            cls.service.literal(),
+            "%g" % cls.lam,
             _fmt(aux.recomputed) if aux else "",
             aux.printed if aux else "",
             _fmt(rho.recomputed),
@@ -102,7 +101,8 @@ def _render_traffic_table(table_id):
 def reproduce(table_ids="all", inv=InversionSpec()):
     """Render the requested tables; returns (tables, erratum cells).
 
-    `table_ids` may be "all", "traffic", "wait", or an iterable of ids.
+    `table_ids` may be "all", "traffic", "wait", comma-separated ids such
+    as "4.2.4,4.3.1", or an iterable of ids.
     """
     if table_ids == "all":
         ids = all_table_ids()
@@ -110,6 +110,8 @@ def reproduce(table_ids="all", inv=InversionSpec()):
         ids = reference_tables.traffic_table_ids()
     elif table_ids == "wait":
         ids = reference_tables.wait_table_ids()
+    elif isinstance(table_ids, str):
+        ids = [t.strip() for t in table_ids.split(",") if t.strip()]
     else:
         ids = list(table_ids)
 
@@ -119,11 +121,11 @@ def reproduce(table_ids="all", inv=InversionSpec()):
     errata = []
     for tid in ids:
         if tid in wait_ids:
-            table, errs = _render_wait_table(tid, inv)
+            tables.append(_render_wait_table(tid, inv))
         elif tid in traffic_ids:
             table, errs = _render_traffic_table(tid)
+            tables.append(table)
+            errata.extend(errs)
         else:
             raise KeyError("unknown table id %r" % (tid,))
-        tables.append(table)
-        errata.extend(errs)
     return tables, errata

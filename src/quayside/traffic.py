@@ -14,7 +14,7 @@ is viable while the cumulative coefficient stays below 1.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import NumericOverflowError
 
@@ -26,7 +26,6 @@ __all__ = [
     "PriorityClass",
     "PriorityScenario",
     "TrafficReport",
-    "StationarityVerdict",
     "traffic_coefficients",
     "stationarity_verdict",
 ]
@@ -72,12 +71,15 @@ class TrafficReport:
         return all(self.stationary_flags)
 
     @property
+    def stationary_prefix(self):
+        """Largest m such that classes 1..m are viable (rho_1..rho_m < 1)."""
+        flags = self.stationary_flags
+        return flags.index(False) if False in flags else len(flags)
+
+    @property
     def first_overloaded_class(self):
         """1-based index of the first class with rho >= 1, or None."""
-        for i, ok in enumerate(self.stationary_flags):
-            if not ok:
-                return i + 1
-        return None
+        return None if self.stationary else self.stationary_prefix + 1
 
     def increments(self):
         """Per-class contributions, derived from the cumulative values."""
@@ -87,13 +89,6 @@ class TrafficReport:
             out.append(r - prev)
             prev = r
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class StationarityVerdict:
-    stationary: bool
-    stationary_prefix: int               # classes 1..m have rho_m < 1
-    first_overloaded_class: Optional[int]
 
 
 def _class_term(cls, discipline, sigma_prev, index):
@@ -134,14 +129,6 @@ def traffic_coefficients(sc):
 
 
 def stationarity_verdict(report):
-    """Largest stationary prefix and the first class that overloads, if any."""
-    prefix = 0
-    for ok in report.stationary_flags:
-        if not ok:
-            break
-        prefix += 1
-    return StationarityVerdict(
-        stationary=report.stationary,
-        stationary_prefix=prefix,
-        first_overloaded_class=report.first_overloaded_class,
-    )
+    """The report itself: it carries `stationary`, `stationary_prefix` and
+    `first_overloaded_class`."""
+    return report

@@ -8,6 +8,7 @@ which absorbs the probability atom at zero that a pointwise density
 inversion could not represent.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,16 +33,16 @@ class WaitEvaluation:
 
 
 def _check_args(a, point, name):
-    if a <= 0:
-        raise ValueError("arrival rate must be positive, got %r" % (a,))
-    if point <= 0:
-        raise ValueError("%s must be positive, got %r" % (name, point))
+    if not 0 < a < math.inf:
+        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
+    if not 0 < point < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, point))
 
 
-def lifo_wait_lst(d, a, s, tol=1e-12, max_iter=10**6):
+def lifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) + a(1 - pi(s)) / (s + a - a*pi(s))."""
     _check_args(a, s, "s")
-    sol = busy_period_lst(d, a, s, tol=tol, max_iter=max_iter)
+    sol = busy_period_lst(d, a, s)
     pi = sol.value
     value = (1.0 - a * d.moment1()) + a * (1.0 - pi) / (s + a - a * pi)
     return WaitEvaluation(

@@ -57,6 +57,26 @@ def test_residual_at_returned_value():
     assert abs(sol.value - d.lst(1.0 + 0.2 - 0.2 * sol.value)) <= 1e-12
 
 
+class _CountingLaw:
+    """Wraps a law and counts its transform evaluations."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def lst(self, s):
+        self.calls += 1
+        return self.law.lst(s)
+
+
+@pytest.mark.parametrize("d,a,s", [(Uniform(0.05, 0.2), 4.0, 1.0), (Exponential(1), 0.999, 1e-5)])
+def test_one_transform_evaluation_per_kendall_step(d, a, s):
+    counted = _CountingLaw(d)
+    sol = busy_period_lst(counted, a, s)
+    assert counted.calls == sol.iterations + 1
+    assert sol == busy_period_lst(d, a, s)
+
+
 def test_non_convergence_error_carries_state():
     with pytest.raises(ConvergenceError) as exc:
         busy_period_lst(Exponential(5), 4.0, 0.001, max_iter=3)
@@ -65,7 +85,10 @@ def test_non_convergence_error_carries_state():
     assert exc.value.iterations == 3
 
 
-@pytest.mark.parametrize("a,s,tol", [(0.0, 1.0, 1e-12), (4.0, 0.0, 1e-12), (4.0, 1.0, 0.0)])
+@pytest.mark.parametrize("a,s,tol", [
+    (0.0, 1.0, 1e-12), (4.0, 0.0, 1e-12), (4.0, 1.0, 0.0),
+    (math.nan, 1.0, 1e-12), (math.inf, 1.0, 1e-12), (4.0, math.nan, 1e-12), (4.0, math.inf, 1e-12),
+])
 def test_bad_arguments(a, s, tol):
     with pytest.raises(ValueError):
         busy_period_lst(Exponential(5), a, s, tol=tol)

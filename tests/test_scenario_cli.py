@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from quayside import Exponential, Mg1Scenario, PriorityScenario, ScenarioError, parse_scenario
+from quayside import Exponential, Mg1Scenario, PriorityScenario, ScenarioError, parse_scenario, reproduce
 from quayside.cli import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,6 +88,9 @@ def test_cli_usage_errors_exit_1():
         ["cdf", "--order", "fifo", "--service", "weibull(1)", "--rate", "1", "--x", "1"],
         ["traffic", "--scenario", "/nonexistent.json"],
         ["reproduce", "--tables", "9.9.9"],
+        ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
+        ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
+        ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
@@ -164,3 +167,9 @@ def test_cli_reproduce_single_tables():
     assert "printed 0,4" in out  # the beta erratum
     code2, out2 = run_cli(["reproduce", "--tables", "4.2.4,4.3.1"])
     assert out2 == out
+
+
+def test_reproduce_accepts_comma_separated_ids():
+    assert reproduce("4.2.4,4.3.1") == reproduce(["4.2.4", "4.3.1"])
+    tables, _ = reproduce("4.2.4")
+    assert [t.table_id for t in tables] == ["4.2.4"]

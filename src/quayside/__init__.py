@@ -33,8 +33,7 @@ from .estimation import (
     load_observations,
 )
 from .lst_inversion import InversionSpec, invert, stehfest_weights
-from .reference_tables import recompute_table
-from .reproduce import RenderedTable, reproduce
+from .reference_tables import RenderedTable, recompute_table, reproduce
 from .scenario import Mg1Scenario, load_scenario, parse_scenario
 from .sim_oracle import SimConfig, SimResult, simulate_mg1, simulate_priority
 from .traffic import (

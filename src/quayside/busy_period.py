@@ -35,8 +35,10 @@ def busy_period_lst(d, a, s, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise ValueError("s must be positive and finite, got %r" % (s,))
     if not 0 < a < math.inf:
         raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1, got %r" % (max_iter,))
 
     # beta(s + a - a*nxt), computed for the residual, is the next iterate:
     # one transform evaluation per step.  nxt <= 1 keeps the argument >= s.

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .estimation import ARRIVALS, SERVICE, estimate_arrival_rate, estimate_service_rate, load_observations
 from .lst_inversion import DEFAULT_ORDER, InversionSpec, invert
-from .reproduce import reproduce
+from .reference_tables import reproduce
 from .scenario import Mg1Scenario, load_scenario
 from .sim_oracle import SimConfig, simulate_mg1, simulate_priority
 from .traffic import traffic_coefficients

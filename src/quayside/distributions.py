@@ -46,7 +46,7 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def _check_s(self, s):
-        if s < 0:
+        if not s >= 0:
             raise ValueError("transform argument s must be >= 0, got %r" % (s,))
 
 
@@ -55,8 +55,8 @@ class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive, got %r" % (self.rate,))
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 
     def lst(self, s):
         self._check_s(s)
@@ -83,9 +83,9 @@ class Uniform(ServiceDistribution):
     hi: float
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
+        if not 0 <= self.lo < self.hi < math.inf:
             raise ValueError(
-                "uniform bounds must satisfy 0 <= lo < hi, got [%r, %r]" % (self.lo, self.hi)
+                "uniform bounds must satisfy 0 <= lo < hi < inf, got [%r, %r]" % (self.lo, self.hi)
             )
 
     def lst(self, s):
@@ -123,8 +123,8 @@ class _ErlangBase(ServiceDistribution):
     _order = None
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive, got %r" % (self.rate,))
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 
     def lst(self, s):
         self._check_s(s)

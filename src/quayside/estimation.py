@@ -6,6 +6,7 @@ per-period counts or interarrival times is up to the user; the estimator
 is the sample mean either way, only its interpretation changes.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -27,11 +28,11 @@ class ObservationSample:
     kind: str = ARRIVALS
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) == 0:
             raise ValueError("observation sample must not be empty")
         for v in self.values:
-            if not (v >= 0) or v != v or v == float("inf"):
+            if not 0 <= v < math.inf:
                 raise ValueError("observations must be finite and >= 0, got %r" % (v,))
 
 
@@ -71,4 +72,4 @@ def load_observations(path, kind=ARRIVALS):
                 values.append(float(text))
             except ValueError:
                 raise ValueError("%s:%d: not a number: %r" % (path, lineno, text))
-    return ObservationSample(tuple(values), kind=kind)
+    return ObservationSample(values, kind=kind)

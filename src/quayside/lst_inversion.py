@@ -79,8 +79,8 @@ def invert(transform, x, spec=InversionSpec()):
     are numpy longdoubles so that pure-arithmetic transforms keep the
     extra precision automatically.
     """
-    if x <= 0:
-        raise ValueError("inversion point x must be positive, got %r" % (x,))
+    if not 0 < x < math.inf:
+        raise ValueError("inversion point x must be positive and finite, got %r" % (x,))
     n = spec.order
     weights = _weights_long(n)
     scale = _LN2 / _LONG(x)

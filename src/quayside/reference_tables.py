@@ -1,22 +1,32 @@
-"""Stored source-table values and the recomputation / errata engine.
+"""The source document's tables: stored values, recomputation, errata
+classification, and rendering beside the printed values.
 
 The source document prints its numbers with decimal commas; the data
 file keeps every printed cell verbatim (comma form) so the audit runs
 against the tables as published.  Recomputed values come straight from
-the formulas; each printed cell is then classified:
+the formulas; each printed cell of a traffic table is then classified:
 
 * MATCH     |delta| <= 0.02   (agrees up to the source's 2-decimal rounding)
 * ROUNDING  |delta| <= 0.05   (explainable by rounding intermediates)
 * ERRATUM   |delta| >  0.05   (genuine discrepancy; recomputed value attached)
+
+Waiting-time tables show our w(s) next to the printed one.  The printed
+W(x) columns are shown only for inspection: no inversion we know of
+reproduces them and they conflict with closed-form CDFs, so our W(x) is
+computed independently (and only where the queue is stationary).
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
 
 from .distributions import LAWS
+from .errors import StationarityError
+from .lst_inversion import InversionSpec
 from .traffic import PriorityClass, PriorityScenario, traffic_coefficients
+from .waiting_time import LIFO, fifo_wait_lst, lifo_wait_lst, wait_cdf
 
 __all__ = [
     "MATCH",
@@ -24,6 +34,7 @@ __all__ = [
     "ERRATUM",
     "CellCheck",
     "TableErrata",
+    "RenderedTable",
     "load_tables",
     "wait_table_ids",
     "traffic_table_ids",
@@ -31,6 +42,7 @@ __all__ = [
     "traffic_scenario",
     "recompute_table",
     "parse_printed",
+    "reproduce",
 ]
 
 MATCH = "MATCH"
@@ -46,19 +58,10 @@ def parse_printed(text):
     return float(text.replace(",", "."))
 
 
-def _load_raw():
+@functools.cache
+def load_tables():
     with resources.files("quayside.data").joinpath("reference_tables.json").open() as fh:
         return json.load(fh)
-
-
-_RAW = None
-
-
-def load_tables():
-    global _RAW
-    if _RAW is None:
-        _RAW = _load_raw()
-    return _RAW
 
 
 def wait_table_ids():
@@ -69,34 +72,31 @@ def traffic_table_ids():
     return sorted(load_tables()["traffic_tables"])
 
 
-def _row_distribution(family, row):
-    law, params = LAWS[family]
-    return law(*(row[p] for p in params))
+def _table(kind, table_id):
+    """A stored table's spec and the service law of each of its rows;
+    `kind` is "wait" or "traffic"."""
+    tables = load_tables()[kind + "_tables"]
+    if table_id not in tables:
+        raise KeyError("unknown %s table %r" % (kind, table_id))
+    spec = tables[table_id]
+    law, params = LAWS[spec["service_family"]]
+    return spec, [law(*(row[p] for p in params)) for row in spec["rows"]]
 
 
 def wait_table(table_id):
     """(discipline, rows) where each row carries the built distribution."""
-    tables = load_tables()["wait_tables"]
-    if table_id not in tables:
-        raise KeyError("unknown wait table %r" % (table_id,))
-    spec = tables[table_id]
-    rows = []
-    for row in spec["rows"]:
-        rows.append(dict(row, service=_row_distribution(spec["service_family"], row)))
-    return spec["discipline"], rows
+    spec, laws = _table("wait", table_id)
+    return spec["discipline"], [dict(row, service=d) for row, d in zip(spec["rows"], laws)]
+
+
+def _scenario(spec, laws):
+    classes = [PriorityClass(row["lambda"], d) for row, d in zip(spec["rows"], laws)]
+    return PriorityScenario(tuple(classes), spec["discipline"])
 
 
 def traffic_scenario(table_id):
     """PriorityScenario reconstructed from a traffic table's inputs."""
-    tables = load_tables()["traffic_tables"]
-    if table_id not in tables:
-        raise KeyError("unknown traffic table %r" % (table_id,))
-    spec = tables[table_id]
-    classes = [
-        PriorityClass(row["lambda"], _row_distribution(spec["service_family"], row))
-        for row in spec["rows"]
-    ]
-    return PriorityScenario(tuple(classes), spec["discipline"])
+    return _scenario(*_table("traffic", table_id))
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,14 @@ def _classify(delta):
 
 def recompute_table(table_id):
     """Recompute every printed cell of a traffic table and classify it."""
-    tables = load_tables()["traffic_tables"]
-    if table_id not in tables:
-        raise KeyError("unknown traffic table %r" % (table_id,))
-    spec = tables[table_id]
-    sc = traffic_scenario(table_id)
-    report = traffic_coefficients(sc)
+    spec, laws = _table("traffic", table_id)
+    report = traffic_coefficients(_scenario(spec, laws))
 
     cells = []
-    for i, row in enumerate(spec["rows"]):
+    for i, (row, d) in enumerate(zip(spec["rows"], laws)):
         k = i + 1
         if "beta1_printed" in row:
-            exact = sc.classes[i].service.moment1()
-            cells.append(_cell(table_id, k, "beta1", row["beta1_printed"], exact))
+            cells.append(_cell(table_id, k, "beta1", row["beta1_printed"], d.moment1()))
         if "sigma_printed" in row:
             cells.append(_cell(table_id, k, "sigma", row["sigma_printed"], report.sigma[i]))
         cells.append(_cell(table_id, k, "rho", row["rho_printed"], report.rho[i]))
@@ -163,3 +158,105 @@ def _cell(table_id, k, column, printed, recomputed):
         delta=delta,
         status=_classify(delta),
     )
+
+
+@dataclass(frozen=True)
+class RenderedTable:
+    table_id: str
+    headers: Tuple[str, ...]
+    rows: Tuple[Tuple[str, ...], ...]
+    annotations: Tuple[str, ...] = ()
+
+
+def _fmt(value):
+    return "%.6g" % value
+
+
+def _render_wait_table(table_id, inv):
+    discipline, rows = wait_table(table_id)
+    wait_lst = lifo_wait_lst if discipline == LIFO else fifo_wait_lst
+    headers = ("k", "inputs", "w(s) ours", "w(s) printed", "W(x) ours", "W(x) printed*")
+    out_rows = []
+    notes = []
+    for i, row in enumerate(rows, start=1):
+        d = row["service"]
+        a, s, x = row["a"], row["s"], row["x"]
+        ev = wait_lst(d, a, s)
+        try:
+            w_x = _fmt(wait_cdf(discipline, d, a, x, inv).value)
+        except StationarityError:
+            w_x = "n/a (non-stationary)"
+        out_rows.append((
+            str(i),
+            "%s a=%g s=%g x=%g" % (d.literal(), a, s, x),
+            _fmt(ev.value),
+            row["w_printed"],
+            w_x,
+            row["W_printed"],
+        ))
+        delta = abs(ev.value - parse_printed(row["w_printed"]))
+        if delta > 1e-3:
+            notes.append("row %d: w(s) deviates from printed by %.2g" % (i, delta))
+    notes.append("* printed W(x) column is non-normative (inversion method unknown)")
+    return RenderedTable(table_id, headers, tuple(out_rows), tuple(notes))
+
+
+def _render_traffic_table(table_id):
+    errata = recompute_table(table_id)
+    classes = traffic_scenario(table_id).classes
+    by_row = {}
+    for cell in errata.cells:
+        by_row.setdefault(cell.row, {})[cell.column] = cell
+    headers = ("k", "service", "lambda", "sigma/beta1 ours", "printed", "rho ours", "rho printed", "status")
+    out_rows = []
+    notes = []
+    for i, cls in enumerate(classes, start=1):
+        cells = by_row[i]
+        aux = cells.get("beta1") or cells.get("sigma")
+        rho = cells["rho"]
+        status = rho.status if aux is None or aux.status != ERRATUM else ERRATUM
+        out_rows.append((
+            str(i),
+            cls.service.literal(),
+            "%g" % cls.lam,
+            _fmt(aux.recomputed) if aux else "",
+            aux.printed if aux else "",
+            _fmt(rho.recomputed),
+            rho.printed,
+            status,
+        ))
+    for cell in errata.errata:
+        notes.append(
+            "row %d %s: printed %s but recomputed %.6g (delta %.3g)"
+            % (cell.row, cell.column, cell.printed, cell.recomputed, cell.delta)
+        )
+    return RenderedTable(table_id, headers, tuple(out_rows), tuple(notes)), list(errata.errata)
+
+
+def reproduce(table_ids="all", inv=InversionSpec()):
+    """Render the requested tables; returns (tables, erratum cells).
+
+    `table_ids` may be "all", "traffic", "wait", comma-separated ids such
+    as "4.2.4,4.3.1", or an iterable of ids.
+    """
+    groups = {"wait": wait_table_ids(), "traffic": traffic_table_ids()}
+    groups["all"] = groups["wait"] + groups["traffic"]
+    if not isinstance(table_ids, str):
+        ids = list(table_ids)
+    elif table_ids in groups:
+        ids = groups[table_ids]
+    else:
+        ids = [t.strip() for t in table_ids.split(",") if t.strip()]
+
+    tables = []
+    errata = []
+    for tid in ids:
+        if tid in groups["wait"]:
+            tables.append(_render_wait_table(tid, inv))
+        elif tid in groups["traffic"]:
+            table, errs = _render_traffic_table(tid)
+            tables.append(table)
+            errata.extend(errs)
+        else:
+            raise KeyError("unknown table id %r" % (tid,))
+    return tables, errata

@@ -1,6 +1,7 @@
 """Scenario-file parsing (JSON) for priority and single-class analyses."""
 
 import json
+import math
 from dataclasses import dataclass
 
 from .distributions import parse_distribution
@@ -18,8 +19,8 @@ class Mg1Scenario:
     order: str
 
     def __post_init__(self):
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival_rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be positive and finite, got %r" % (self.arrival_rate,))
         if self.order not in (FIFO, LIFO):
             raise ValueError("order must be fifo or lifo, got %r" % (self.order,))
 

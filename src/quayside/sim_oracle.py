@@ -64,6 +64,8 @@ class SimConfig:
         if self.warmup_arrivals is not None and self.warmup_arrivals < 0:
             raise ValueError("warmup_arrivals must be >= 0, got %r" % (self.warmup_arrivals,))
         object.__setattr__(self, "ecdf_grid", tuple(sorted(self.ecdf_grid)))
+        if not all(map(math.isfinite, self.ecdf_grid)):
+            raise ValueError("ecdf_grid points must be finite, got %r" % (self.ecdf_grid,))
 
     @property
     def warmup(self):

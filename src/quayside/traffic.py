@@ -13,6 +13,7 @@ For the top class all three coincide at lambda_1 * beta_11.  The system
 is viable while the cumulative coefficient stays below 1.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -42,8 +43,8 @@ class PriorityClass:
     service: object         # ServiceDistribution
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("arrival rate must be positive, got %r" % (self.lam,))
+        if not 0 < self.lam < math.inf:
+            raise ValueError("arrival rate must be positive and finite, got %r" % (self.lam,))
 
 
 @dataclass(frozen=True)

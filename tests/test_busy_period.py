@@ -88,7 +88,13 @@ def test_non_convergence_error_carries_state():
 @pytest.mark.parametrize("a,s,tol", [
     (0.0, 1.0, 1e-12), (4.0, 0.0, 1e-12), (4.0, 1.0, 0.0),
     (math.nan, 1.0, 1e-12), (math.inf, 1.0, 1e-12), (4.0, math.nan, 1e-12), (4.0, math.inf, 1e-12),
+    (4.0, 1.0, math.nan),
 ])
 def test_bad_arguments(a, s, tol):
     with pytest.raises(ValueError):
         busy_period_lst(Exponential(5), a, s, tol=tol)
+
+
+def test_max_iter_below_one_rejected():
+    with pytest.raises(ValueError):
+        busy_period_lst(Exponential(5), 4.0, 1.0, max_iter=0)

@@ -37,6 +37,8 @@ def test_lst_strictly_decreasing(d):
 def test_lst_negative_s_rejected(d):
     with pytest.raises(ValueError):
         d.lst(-0.1)
+    with pytest.raises(ValueError):
+        d.lst(math.nan)
 
 
 def test_uniform_lst_taylor_branch_continuous():
@@ -117,6 +119,10 @@ def test_uniform_sample_support():
         lambda: Uniform(5, 1),
         lambda: Uniform(-1, 2),
         lambda: Uniform(2, 2),
+        lambda: Exponential(math.inf),
+        lambda: Erlang2(math.inf),
+        lambda: Gamma3(math.inf),
+        lambda: Uniform(0, math.inf),
     ],
 )
 def test_invalid_parameters_rejected_at_construction(bad):

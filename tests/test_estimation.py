@@ -61,6 +61,8 @@ def test_sample_validation():
         ObservationSample([float("nan")])
     with pytest.raises(ValueError):
         ObservationSample([float("inf")])
+    with pytest.raises(ValueError):
+        ObservationSample([1.0, float("nan")])
 
 
 def test_unbiasedness_battery():

@@ -46,6 +46,8 @@ def test_parse_single_class_scenario():
         ("not json", "JSON"),
         ("[1,2]", "object"),
         ('{"classes":[]}', "discipline"),
+        ('{"discipline":"loss","classes":[{"lambda":Infinity,"service":"exp(1)"}]}', "arrival rate must be positive"),
+        ('{"arrival_rate":Infinity,"service":"exp(5)","order":"fifo"}', "arrival_rate must be positive"),
     ],
 )
 def test_scenario_errors(text, needle):
@@ -91,6 +93,12 @@ def test_cli_usage_errors_exit_1():
         ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
         ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
+        ["wait", "--order", "fifo", "--service", "exp(inf)", "--rate", "4", "--s", "1"],
+        ["wait", "--order", "lifo", "--service", "unif(0,inf)", "--rate", "4", "--s", "1"],
+        ["wait", "--order", "lifo", "--service", "gamma3(inf)", "--rate", "4", "--s", "1"],
+        ["invert", "--transform", "one_over_s", "--x", "nan"],
+        ["invert", "--transform", "one_over_s", "--x", "inf"],
+        ["simulate", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json"), "--grid", "0,nan"],
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv

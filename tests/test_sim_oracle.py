@@ -194,6 +194,9 @@ def test_config_validation():
         SimConfig(seed=1, total_arrivals=0)
     with pytest.raises(ValueError):
         SimConfig(seed=1, total_arrivals=10, warmup_arrivals=-5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(seed=1, total_arrivals=10, ecdf_grid=(0.0, bad))
 
 
 def test_t_quantile_constant():

@@ -97,8 +97,10 @@ class Uniform(ServiceDistribution):
             # quotient cancels to noise as s -> 0.
             lo, hi = self.lo, self.hi
             return 1.0 - s * (lo + hi) / 2.0 + s * s * (lo * lo + lo * hi + hi * hi) / 6.0
-        # exact rearrangement, cancellation-free for every s > 0
-        return math.exp(-s * self.lo) * (-math.expm1(-z)) / z
+        # exact rearrangement, cancellation-free for every s > 0; at lo = 0
+        # the factor e^{-s.lo} is 1, also at s = inf, where -s*lo is NaN
+        shift = math.exp(-s * self.lo) if self.lo else 1.0
+        return shift * (-math.expm1(-z)) / z
 
     def moment1(self):
         return 0.5 * (self.lo + self.hi)

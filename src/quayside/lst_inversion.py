@@ -64,7 +64,11 @@ def _weights_exact(n):
 
 @lru_cache(maxsize=None)
 def _weights_long(n):
-    return tuple(_LONG(v.numerator) / _LONG(v.denominator) for v in _weights_exact(n))
+    weights = np.array(
+        [_LONG(v.numerator) / _LONG(v.denominator) for v in _weights_exact(n)], dtype=_LONG
+    )
+    weights.flags.writeable = False
+    return weights
 
 
 def stehfest_weights(n):
@@ -72,25 +76,35 @@ def stehfest_weights(n):
     return [float(v) for v in _weights_exact(n)]
 
 
-def invert(transform, x, spec=InversionSpec()):
-    """Gaver-Stehfest estimate of f(x) from its Laplace transform.
-
-    `transform` is called at s_k = k*ln2/x for k = 1..order; the s values
-    are numpy longdoubles so that pure-arithmetic transforms keep the
-    extra precision automatically.
-    """
+def _nodes(x, n):
+    """The Gaver-Stehfest nodes s_k = k*ln2/x, k = 1..n, as a longdouble array."""
     if not 0 < x < math.inf:
         raise ValueError("inversion point x must be positive and finite, got %r" % (x,))
-    n = spec.order
-    weights = _weights_long(n)
-    scale = _LN2 / _LONG(x)
-    total = _LONG(0)
-    for k in range(1, n + 1):
-        fk = transform(_LONG(k) * scale)
-        total += weights[k - 1] * _LONG(fk)
-    result = float(total * scale)
+    return np.arange(1, n + 1, dtype=_LONG) * (_LN2 / _LONG(x))
+
+
+def _combine(values, x, n):
+    """ln2/x * sum_k V_k * values[k-1], summed in extended precision in node order.
+
+    The cumulative sum adds the terms one after another, k = 1..n; a
+    pairwise sum such as np.sum's would change the last bits.
+    """
+    terms = _weights_long(n) * np.asarray(values, dtype=_LONG)
+    result = float(np.cumsum(terms)[-1] * (_LN2 / _LONG(x)))
     if not math.isfinite(result):
         raise InversionError(
             "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, n)
         )
     return result
+
+
+def invert(transform, x, spec=InversionSpec()):
+    """Gaver-Stehfest estimate of f(x) from its Laplace transform.
+
+    `transform` is called once per node, at s_k = k*ln2/x for k = 1..order
+    in that order; each s is a numpy longdouble scalar, so that
+    pure-arithmetic transforms keep the extra precision automatically.
+    The weighted sum runs in extended precision, in node order.
+    """
+    nodes = _nodes(x, spec.order)
+    return _combine([transform(s) for s in nodes], x, spec.order)

@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .busy_period import BusyPeriodSolution, busy_period_lst
 from .errors import SingularityError, StationarityError
-from .lst_inversion import InversionSpec, invert
+from .lst_inversion import _LONG, InversionSpec, _combine, _nodes
 
 __all__ = ["WaitEvaluation", "lifo_wait_lst", "fifo_wait_lst", "wait_cdf"]
 
@@ -39,12 +41,26 @@ def _check_args(a, point, name):
         raise ValueError("%s must be positive and finite, got %r" % (name, point))
 
 
+def _lifo(d, a, s):
+    sol = busy_period_lst(d, a, s)
+    pi = sol.value
+    return (1.0 - a * d.moment1()) + a * (1.0 - pi) / (s + a - a * pi), sol
+
+
+def _fifo(d, a, s):
+    denom = s - a + a * d.lst(s)
+    if abs(denom) < 1e-14:
+        raise SingularityError(
+            "FIFO transform denominator vanishes at s=%g (a=%g, %s)"
+            % (s, a, d.literal())
+        )
+    return (1.0 - a * d.moment1()) * s / denom
+
+
 def lifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) + a(1 - pi(s)) / (s + a - a*pi(s))."""
     _check_args(a, s, "s")
-    sol = busy_period_lst(d, a, s)
-    pi = sol.value
-    value = (1.0 - a * d.moment1()) + a * (1.0 - pi) / (s + a - a * pi)
+    value, sol = _lifo(d, a, s)
     return WaitEvaluation(
         discipline=LIFO,
         point=s,
@@ -57,36 +73,38 @@ def lifo_wait_lst(d, a, s):
 def fifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) * s / (s - a + a*beta(s))."""
     _check_args(a, s, "s")
-    denom = s - a + a * d.lst(s)
-    if abs(denom) < 1e-14:
-        raise SingularityError(
-            "FIFO transform denominator vanishes at s=%g (a=%g, %s)"
-            % (s, a, d.literal())
-        )
-    value = (1.0 - a * d.moment1()) * s / denom
     return WaitEvaluation(
         discipline=FIFO,
         point=s,
-        value=value,
+        value=_fifo(d, a, s),
         stationary=a * d.moment1() < 1.0,
     )
 
 
 def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
-    """W(x) by numerical inversion of s -> w(s)/s, clamped to [0, 1]."""
+    """W(x) by numerical inversion of s -> w(s)/s, clamped to [0, 1].
+
+    All Gaver-Stehfest nodes are evaluated in one pass: w is computed at
+    each node rounded to double, as the public transforms would be, and
+    w(s)/s and the weighted sum are formed in extended precision.
+    """
     _check_args(a, x, "x")
     rho = a * d.moment1()
     if rho >= 1.0:
         raise StationarityError(
             "waiting-time CDF undefined: traffic coefficient %.6g >= 1" % rho
         )
-    if discipline == LIFO:
-        transform = lambda s: lifo_wait_lst(d, a, float(s)).value / s
-    elif discipline == FIFO:
-        transform = lambda s: fifo_wait_lst(d, a, float(s)).value / s
-    else:
+    if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))
-    value = invert(transform, x, inv)
+    nodes = _nodes(x, inv.order)
+    # the nodes increase with k; at a subnormal x the last ones overflow a double
+    _check_args(a, float(nodes[-1]), "s")
+    points = nodes.astype(float).tolist()
+    if discipline == LIFO:
+        values = [_lifo(d, a, s)[0] for s in points]
+    else:
+        values = [_fifo(d, a, s) for s in points]
+    value = _combine(np.array(values, dtype=_LONG) / nodes, x, inv.order)
     value = min(max(value, 0.0), 1.0)
     return WaitEvaluation(
         discipline=discipline,

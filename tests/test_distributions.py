@@ -25,6 +25,11 @@ def test_lst_at_zero_is_one(d):
     assert d.lst(0.0) == 1.0
 
 
+@pytest.mark.parametrize("d", ALL + [Uniform(0, 1)])
+def test_lst_at_infinity_is_zero(d):
+    assert d.lst(math.inf) == 0.0
+
+
 @pytest.mark.parametrize("d", ALL)
 def test_lst_strictly_decreasing(d):
     grid = [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0]

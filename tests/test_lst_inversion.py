@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from quayside import (
@@ -103,3 +104,31 @@ def test_non_finite_transform_raises():
 def test_invalid_x():
     with pytest.raises(ValueError):
         invert(lambda s: 1.0 / s, 0.0)
+
+
+def _sequential_gaver_stehfest(transform, x, n):
+    """Reference: a longdouble running sum over the nodes, k = 1..n in order."""
+    from quayside.lst_inversion import _weights_exact
+
+    weights = [np.longdouble(v.numerator) / np.longdouble(v.denominator) for v in _weights_exact(n)]
+    scale = np.log(np.longdouble(2)) / np.longdouble(x)
+    total = np.longdouble(0)
+    for k in range(1, n + 1):
+        fk = transform(np.longdouble(k) * scale)
+        total += weights[k - 1] * np.longdouble(fk)
+    return float(total * scale)
+
+
+@pytest.mark.parametrize("n", range(4, 21, 2))
+@pytest.mark.parametrize("x", [0.3, 2.0, 50.0])
+def test_sum_runs_in_node_order(n, x):
+    # a pairwise sum such as np.sum's changes the last bits from order 8 on
+    fn = lambda s: 1 / (s + 1)
+    assert invert(fn, x, InversionSpec(n)) == _sequential_gaver_stehfest(fn, x, n)
+
+
+def test_transform_called_once_per_node_with_longdouble_scalars():
+    seen = []
+    invert(lambda s: seen.append(s) or 1.0 / s, 2.0, InversionSpec(8))
+    assert [type(s) for s in seen] == [np.longdouble] * 8
+    assert seen == sorted(seen)

@@ -11,6 +11,7 @@ from quayside import (
     StationarityError,
     Uniform,
     fifo_wait_lst,
+    invert,
     lifo_wait_lst,
     wait_cdf,
 )
@@ -48,6 +49,9 @@ def test_fifo_singularity():
     # denominator s - a + a*b/(s+b) vanishes at s = a - b
     with pytest.raises(SingularityError):
         fifo_wait_lst(Exponential(5), 6.0, 1.0)
+    # a CDF at a huge x puts its first node s = ln2/x where the denominator is ~ s/5
+    with pytest.raises(SingularityError, match=r"s=6\.93147e-16"):
+        wait_cdf("fifo", Exponential(5), 4.0, 1e15)
 
 
 STATIONARY_CASES = [
@@ -128,3 +132,58 @@ def test_wait_cdf_unknown_discipline():
 def test_wait_cdf_accepts_custom_inversion_order():
     ev = wait_cdf("fifo", Exponential(5), 4.0, 3.0, InversionSpec(order=18))
     assert ev.value == pytest.approx(1 - 0.8 * math.exp(-3), abs=1e-4)
+
+
+# the benchmark sweeps' laws at traffic 0.3 and 0.8 (a = rho / mean service time)
+NODE_CASES = [
+    pytest.param(d, rho / d.moment1(), id="%s-rho%g" % (d.literal(), rho))
+    for d in (Exponential(5), Uniform(1, 3), Uniform(0.05, 0.2), Erlang2(4), Gamma3(6))
+    for rho in (0.3, 0.8)
+]
+
+
+@pytest.mark.parametrize("d,a", NODE_CASES)
+@pytest.mark.parametrize(
+    "discipline,transform", [("lifo", lifo_wait_lst), ("fifo", fifo_wait_lst)], ids=["lifo", "fifo"]
+)
+def test_cdf_nodes_match_public_transform(d, a, discipline, transform):
+    # wait_cdf evaluates its nodes in one pass; the result must be exactly
+    # the inversion of the public transform evaluated node by node
+    for order in (4, 14, 18, 20):
+        spec = InversionSpec(order)
+        for x in (0.5, 2.5, 10.0):
+            expected = invert(lambda s: transform(d, a, float(s)).value / s, x, spec)
+            assert wait_cdf(discipline, d, a, x, spec).value == min(max(expected, 0.0), 1.0)
+
+
+class _CountingLaw:
+    """Wraps a law and counts its transform evaluations."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def lst(self, s):
+        self.calls += 1
+        return self.law.lst(s)
+
+    def moment1(self):
+        return self.law.moment1()
+
+    def literal(self):
+        return self.law.literal()
+
+
+@pytest.mark.parametrize("order", [4, 14, 20])
+def test_fifo_cdf_one_transform_evaluation_per_node(order):
+    counted = _CountingLaw(Exponential(5))
+    value = wait_cdf("fifo", counted, 4.0, 2.0, InversionSpec(order)).value
+    assert counted.calls == order
+    assert value == wait_cdf("fifo", Exponential(5), 4.0, 2.0, InversionSpec(order)).value
+
+
+def test_cdf_nodes_beyond_double_range_rejected():
+    # at a subnormal x the largest nodes k*ln2/x overflow a double
+    for discipline in ("lifo", "fifo"):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            wait_cdf(discipline, Exponential(5), 4.0, 1e-308)

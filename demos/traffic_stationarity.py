@@ -12,7 +12,6 @@ from quayside import (
     Exponential,
     PriorityClass,
     PriorityScenario,
-    stationarity_verdict,
     traffic_coefficients,
 )
 
@@ -22,16 +21,15 @@ RATES = (7, 3, 4, 2, 5)
 
 def show(label, scenario):
     report = traffic_coefficients(scenario)
-    verdict = stationarity_verdict(report)
     print("\n%s" % label)
     print("  k  lambda  sigma_k   rho_k")
     for k, (cls, sigma, rho) in enumerate(zip(scenario.classes, report.sigma, report.rho), 1):
         print("  %d  %-6g  %-7.3f  %.5f" % (k, cls.lam, sigma, rho))
-    if verdict.stationary:
+    if report.stationary:
         print("  all classes viable")
     else:
         print("  overloaded from class %d (viable prefix 1..%d)"
-              % (verdict.first_overloaded_class, verdict.stationary_prefix))
+              % (report.first_overloaded_class, report.stationary_prefix))
 
 
 def main():

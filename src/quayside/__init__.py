@@ -9,6 +9,7 @@ oracle that cross-checks every analytic output.
 
 from .busy_period import BusyPeriodSolution, busy_period_lst
 from .distributions import (
+    Erlang,
     Erlang2,
     Exponential,
     Gamma3,
@@ -43,7 +44,6 @@ from .traffic import (
     PriorityClass,
     PriorityScenario,
     TrafficReport,
-    stationarity_verdict,
     traffic_coefficients,
 )
 from .waiting_time import FIFO, LIFO, WaitEvaluation, fifo_wait_lst, lifo_wait_lst, wait_cdf

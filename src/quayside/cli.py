@@ -58,7 +58,7 @@ def _build_parser():
 
     sp = sub.add_parser("wait", help="waiting-time transform w(s)")
     sp.add_argument("--order", choices=(FIFO, LIFO), required=True)
-    sp.add_argument("--service", required=True, help="exp(b), unif(lo,hi), erlang2(b), gamma3(b)")
+    sp.add_argument("--service", required=True, help="exp(b), unif(lo,hi), erlang<k>(b) for k >= 2, gamma3(b)")
     sp.add_argument("--rate", type=float, required=True, help="Poisson arrival rate")
     sp.add_argument("--s", type=float, required=True, help="transform argument")
     add_format(sp)

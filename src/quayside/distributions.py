@@ -1,12 +1,14 @@
 """Service-time distributions: transforms, moments, CDFs and sampling.
 
-Four laws are supported: exponential(rate b), uniform on [lo, hi],
-Erlang of order 2 (rate b) and Erlang of order 3 (rate b, sold under the
-name ``gamma3`` because its transform is (b/(s+b))^3).  Every object is
-immutable after construction and all methods are pure; sampling mutates
-only the generator handed in by the caller.
+Three law families are supported: exponential (rate b), uniform on
+[lo, hi] and Erlang of integer order k >= 2 (rate b).  ``Erlang2(b)`` and
+``Gamma3(b)`` build the orders 2 and 3 of the source tables; order 3 keeps
+the literal ``gamma3(b)`` because its transform is (b/(s+b))^3.  Every
+object is immutable after construction and all methods are pure;
+sampling mutates only the generator handed in by the caller.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -15,9 +17,9 @@ __all__ = [
     "ServiceDistribution",
     "Exponential",
     "Uniform",
+    "Erlang",
     "Erlang2",
     "Gamma3",
-    "LAWS",
     "parse_distribution",
 ]
 
@@ -92,9 +94,9 @@ class Uniform(ServiceDistribution):
         self._check_s(s)
         width = self.hi - self.lo
         z = s * width
-        if z < 1e-8:
-            # 3-term expansion of (e^{-s.lo}-e^{-s.hi})/(s(hi-lo)); the direct
-            # quotient cancels to noise as s -> 0.
+        if z < 1e-8 and s * self.lo < 1e-8:
+            # 3-term expansion of (e^{-s.lo}-e^{-s.hi})/(s(hi-lo)), valid only
+            # while s.hi is small too; the direct quotient cancels to noise as s -> 0.
             lo, hi = self.lo, self.hi
             return 1.0 - s * (lo + hi) / 2.0 + s * s * (lo * lo + lo * hi + hi * hi) / 6.0
         # exact rearrangement, cancellation-free for every s > 0; at lo = 0
@@ -119,71 +121,76 @@ class Uniform(ServiceDistribution):
         return "unif(%g,%g)" % (self.lo, self.hi)
 
 
-class _ErlangBase(ServiceDistribution):
-    """Erlang with rate b and integer shape; order fixed by the subclass."""
+@dataclass(frozen=True)
+class Erlang(ServiceDistribution):
+    """Sum of k independent exponentials with common rate: transform (b/(s+b))^k."""
 
-    _order = None
+    k: int
+    rate: float
 
     def __post_init__(self):
+        if not (isinstance(self.k, int) and self.k >= 2):
+            raise ValueError("Erlang order k must be an integer >= 2, got %r" % (self.k,))
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 
     def lst(self, s):
         self._check_s(s)
-        return (self.rate / (s + self.rate)) ** self._order
+        return (self.rate / (s + self.rate)) ** self.k
 
     def moment1(self):
-        return self._order / self.rate
+        return self.k / self.rate
 
     def cdf(self, x):
         if x <= 0:
             return 0.0
         bx = self.rate * x
-        # 1 - e^{-bx} sum_{j<order} (bx)^j/j!
-        tail = sum(bx**j / math.factorial(j) for j in range(self._order))
-        return 1.0 - math.exp(-bx) * tail
+        # 1 - e^{-bx} sum_{j<k} (bx)^j/j!
+        try:
+            return 1.0 - math.exp(-bx) * sum(bx**j / math.factorial(j) for j in range(self.k))
+        except OverflowError:
+            # a term leaves the double range: form each e^{-bx} (bx)^j/j! from its logarithm
+            return 1.0 - sum(math.exp(j * math.log(bx) - bx - math.lgamma(j + 1)) for j in range(self.k))
 
     def sample(self, rng, size=None):
-        # sum of `order` independent exponentials with common rate
-        if size is None:
-            return rng.exponential(1.0 / self.rate, self._order).sum()
-        draws = rng.exponential(1.0 / self.rate, (self._order, size))
-        return draws.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class Erlang2(_ErlangBase):
-    rate: float
-    _order = 2
+        shape = (self.k,) if size is None else (self.k, size)
+        return rng.exponential(1.0 / self.rate, shape).sum(axis=0)
 
     def literal(self):
-        return "erlang2(%g)" % self.rate
+        name = "gamma3" if self.k == 3 else "erlang%d" % self.k
+        return "%s(%g)" % (name, self.rate)
 
 
-@dataclass(frozen=True)
-class Gamma3(_ErlangBase):
-    """The transform (b/(s+b))^3 forces integer shape 3, i.e. Erlang order 3."""
+def Erlang2(rate):
+    return Erlang(2, rate)
 
-    rate: float
-    _order = 3
 
-    def literal(self):
-        return "gamma3(%g)" % self.rate
+def Gamma3(rate):
+    return Erlang(3, rate)
 
 
 # literal name -> (law, parameter names in literal and reference-table order)
-LAWS = {
+_LAWS = {
     "exp": (Exponential, ("b",)),
     "unif": (Uniform, ("lo", "hi")),
-    "erlang2": (Erlang2, ("b",)),
     "gamma3": (Gamma3, ("b",)),
 }
+
+
+def _law_named(name):
+    """(law, parameter names) of a literal name: exp, unif, gamma3 or
+    erlang<k>; (None, ()) for any other name."""
+    m = re.fullmatch(r"erlang([0-9]+)", name)
+    if m:
+        return functools.partial(Erlang, int(m.group(1))), ("b",)
+    return _LAWS.get(name, (None, ()))
+
 
 _LITERAL_RE = re.compile(r"^\s*([a-z0-9]+)\s*\(\s*([^)]*)\s*\)\s*$")
 
 
 def parse_distribution(text):
-    """Parse a distribution literal: exp(b), unif(lo,hi), erlang2(b), gamma3(b).
+    """Parse a distribution literal: exp(b), unif(lo,hi), erlang<k>(b), gamma3(b).
 
     Decimal points only; raises ValueError with the offending literal on
     any syntax or parameter problem.
@@ -196,7 +203,7 @@ def parse_distribution(text):
         args = [float(p) for p in argtext.split(",")] if argtext.strip() else []
     except ValueError:
         raise ValueError("bad numeric parameter in distribution literal %r" % (text,))
-    law, params = LAWS.get(name, (None, ()))
+    law, params = _law_named(name)
     if law is None or len(args) != len(params):
         raise ValueError("unknown distribution literal: %r" % (text,))
     try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
 
-from .distributions import LAWS
+from .distributions import _law_named
 from .errors import StationarityError
 from .lst_inversion import InversionSpec
 from .traffic import PriorityClass, PriorityScenario, traffic_coefficients
@@ -79,7 +79,7 @@ def _table(kind, table_id):
     if table_id not in tables:
         raise KeyError("unknown %s table %r" % (kind, table_id))
     spec = tables[table_id]
-    law, params = LAWS[spec["service_family"]]
+    law, params = _law_named(spec["service_family"])
     return spec, [law(*(row[p] for p in params)) for row in spec["rows"]]
 
 

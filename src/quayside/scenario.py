@@ -38,18 +38,16 @@ def parse_scenario(text):
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
 
-    keys = set(doc)
-    if "discipline" in keys:
-        extra = keys - {"discipline", "classes"}
-        if extra:
-            raise ScenarioError("unknown scenario keys: %s" % ", ".join(sorted(extra)))
-        return _parse_priority(doc)
-    if "arrival_rate" in keys:
-        extra = keys - {"arrival_rate", "service", "order"}
-        if extra:
-            raise ScenarioError("unknown scenario keys: %s" % ", ".join(sorted(extra)))
-        return _parse_single(doc)
-    raise ScenarioError("scenario needs either 'discipline' (priority) or 'arrival_rate' (single-class)")
+    if "discipline" in doc:
+        fields, parse = {"discipline", "classes"}, _parse_priority
+    elif "arrival_rate" in doc:
+        fields, parse = {"arrival_rate", "service", "order"}, _parse_single
+    else:
+        raise ScenarioError("scenario needs either 'discipline' (priority) or 'arrival_rate' (single-class)")
+    extra = set(doc) - fields
+    if extra:
+        raise ScenarioError("unknown scenario keys: %s" % ", ".join(sorted(extra)))
+    return parse(doc)
 
 
 def _parse_priority(doc):

@@ -28,7 +28,6 @@ __all__ = [
     "PriorityScenario",
     "TrafficReport",
     "traffic_coefficients",
-    "stationarity_verdict",
 ]
 
 RESUME = "resume"
@@ -127,9 +126,3 @@ def traffic_coefficients(sc):
         rho=tuple(rho),
         stationary_flags=tuple(r < 1.0 for r in rho),
     )
-
-
-def stationarity_verdict(report):
-    """The report itself: it carries `stationary`, `stationary_prefix` and
-    `first_overloaded_class`."""
-    return report

@@ -98,7 +98,8 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
         raise ValueError("unknown discipline %r" % (discipline,))
     nodes = _nodes(x, inv.order)
     # the nodes increase with k; at a subnormal x the last ones overflow a double
-    _check_args(a, float(nodes[-1]), "s")
+    if float(nodes[-1]) == math.inf:
+        raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
     points = nodes.astype(float).tolist()
     if discipline == LIFO:
         values = [_lifo(d, a, s)[0] for s in points]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quayside import Erlang2, Exponential, Gamma3, Uniform, parse_distribution
+from quayside import Erlang, Erlang2, Exponential, Gamma3, Uniform, parse_distribution
 
 ALL = [Exponential(3), Uniform(1, 5), Erlang2(2), Gamma3(3)]
 
@@ -56,6 +56,13 @@ def test_uniform_lst_taylor_branch_continuous():
     assert d.lst(1e-12) == pytest.approx(1.0 - 1e-12 * 3.0, rel=1e-13)
 
 
+def test_uniform_lst_narrow_law_away_from_zero():
+    # s(hi-lo) is tiny but s.lo is not: the series about s = 0 does not apply
+    d = Uniform(1, 1 + 1e-9)
+    assert d.lst(1.0) == pytest.approx(math.exp(-1 - 5e-10), rel=1e-12)
+    assert d.lst(30.0) == pytest.approx(math.exp(-30 * (1 + 5e-10)), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "d,expected",
     [
@@ -84,11 +91,18 @@ def test_cdf_values():
 
 @pytest.mark.parametrize("d", ALL)
 def test_cdf_monotone_bounded(d):
-    grid = np.linspace(0, 20, 200)
+    grid = [*np.linspace(0, 20, 200), 1e200]
     vals = [d.cdf(x) for x in grid]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert d.cdf(0.0) == 0.0
+    assert d.cdf(1e200) == 1.0
+
+
+def test_erlang_cdf_where_the_power_sum_overflows():
+    # (bx)^j / j! leaves the double range for j >= 171; the regularised
+    # lower incomplete gamma P(200, 150) from mpmath at 30 digits
+    assert Erlang(200, 1.0).cdf(150.0) == pytest.approx(5.70968857420824e-05, rel=1e-8)
 
 
 def test_sample_means_match_moment1():
@@ -128,6 +142,10 @@ def test_uniform_sample_support():
         lambda: Erlang2(math.inf),
         lambda: Gamma3(math.inf),
         lambda: Uniform(0, math.inf),
+        lambda: Erlang(1, 2.0),
+        lambda: Erlang(2.5, 2.0),
+        lambda: Erlang(2, math.inf),
+        lambda: Erlang(True, 2.0),
     ],
 )
 def test_invalid_parameters_rejected_at_construction(bad):
@@ -135,12 +153,20 @@ def test_invalid_parameters_rejected_at_construction(bad):
         bad()
 
 
-@pytest.mark.parametrize("d", ALL)
+@pytest.mark.parametrize("d", ALL + [Erlang(k, 2.5) for k in range(2, 7)])
 def test_literal_round_trip(d):
     assert parse_distribution(d.literal()) == d
 
 
-@pytest.mark.parametrize("text", ["exp(-1)", "weibull(2)", "unif(1)", "exp(a)", "exp"])
+def test_erlang_aliases_and_literals():
+    assert Erlang2(4) == Erlang(2, 4)
+    assert Gamma3(6) == Erlang(3, 6)
+    assert repr(Erlang2(4)) == "Erlang(k=2, rate=4)"
+    assert [Erlang(k, 0.5).literal() for k in (2, 3, 5)] == ["erlang2(0.5)", "gamma3(0.5)", "erlang5(0.5)"]
+    assert parse_distribution("erlang3(6)") == Gamma3(6)
+
+
+@pytest.mark.parametrize("text", ["exp(-1)", "weibull(2)", "unif(1)", "exp(a)", "exp", "erlang1(2)", "erlang(2)"])
 def test_bad_literals(text):
     with pytest.raises(ValueError):
         parse_distribution(text)

@@ -5,7 +5,18 @@ import os
 
 import pytest
 
-from quayside import Exponential, Mg1Scenario, PriorityScenario, ScenarioError, parse_scenario, reproduce
+from quayside import (
+    Erlang,
+    Exponential,
+    Mg1Scenario,
+    PriorityScenario,
+    ScenarioError,
+    Uniform,
+    fifo_wait_lst,
+    lifo_wait_lst,
+    parse_scenario,
+    reproduce,
+)
 from quayside.cli import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -93,6 +104,8 @@ def test_cli_usage_errors_exit_1():
         ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
         ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
+        ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "1e-308"],
+        ["wait", "--order", "fifo", "--service", "erlang1(5)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(inf)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "lifo", "--service", "unif(0,inf)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "lifo", "--service", "gamma3(inf)", "--rate", "4", "--s", "1"],
@@ -102,6 +115,24 @@ def test_cli_usage_errors_exit_1():
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
+
+
+def _cli_wait(order, service, rate, s):
+    code, out = run_cli(["wait", "--order", order, "--service", service, "--rate", rate, "--s", s, "--format", "csv"])
+    assert code == 0
+    return float(list(csv.reader(io.StringIO(out)))[1][2])
+
+
+def test_cli_wait_narrow_uniform():
+    # unif(1,1+1e-9) is all but deterministic at 1: beta(1) = e^-1 to 9 digits
+    w = (1 - 0.5) / (1 - 0.5 + 0.5 * math.exp(-1))
+    assert _cli_wait("fifo", "unif(1,1.000000001)", "0.5", "1") == pytest.approx(w, rel=1e-8)
+    near = lifo_wait_lst(Uniform(1, 1 + 1e-6), 0.5, 1.0).value
+    assert _cli_wait("lifo", "unif(1,1.000000001)", "0.5", "1") == pytest.approx(near, abs=1e-5)
+
+
+def test_cli_wait_erlang_of_any_order():
+    assert _cli_wait("fifo", "erlang4(8)", "1.5", "2") == fifo_wait_lst(Erlang(4, 8.0), 1.5, 2.0).value
 
 
 def test_cli_wait_csv_round_trip():

@@ -10,7 +10,6 @@ from quayside import (
     PriorityScenario,
     Uniform,
     recompute_table,
-    stationarity_verdict,
     traffic_coefficients,
 )
 from quayside.reference_tables import ERRATUM, MATCH, traffic_scenario
@@ -106,26 +105,25 @@ def test_discipline_term_ordering():
 
 
 def test_verdict_all_stationary():
-    verdict = stationarity_verdict(traffic_coefficients(traffic_scenario("4.4.1")))
-    assert verdict.stationary
-    assert verdict.stationary_prefix == 5
-    assert verdict.first_overloaded_class is None
+    report = traffic_coefficients(traffic_scenario("4.4.1"))
+    assert report.stationary
+    assert report.stationary_prefix == 5
+    assert report.first_overloaded_class is None
 
 
 def test_verdict_erlang_resume_overloads_class_five():
     report = traffic_coefficients(traffic_scenario("4.3.3"))
-    verdict = stationarity_verdict(report)
-    assert not verdict.stationary
-    assert verdict.stationary_prefix == 4
-    assert verdict.first_overloaded_class == 5
+    assert not report.stationary
+    assert report.stationary_prefix == 4
+    assert report.first_overloaded_class == 5
     assert report.rho[4] == pytest.approx(1.239, abs=0.01)
 
 
 def test_verdict_first_class_overloaded():
     sc = PriorityScenario((PriorityClass(1.0, Exponential(0.5)),), "resume")
-    verdict = stationarity_verdict(traffic_coefficients(sc))
-    assert verdict.stationary_prefix == 0
-    assert verdict.first_overloaded_class == 1
+    report = traffic_coefficients(sc)
+    assert report.stationary_prefix == 0
+    assert report.first_overloaded_class == 1
 
 
 def test_increments_sum_to_cumulative():

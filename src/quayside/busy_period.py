@@ -25,38 +25,34 @@ class BusyPeriodSolution:
     residual: float   # |pi - beta(s + a - a*pi)|
 
 
-def busy_period_lst(d, a, s, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def busy_period_lst(d, a, s):
     """Least fixed point of pi -> lst(d, s + a - a*pi) in [0, 1].
 
     Raises ConvergenceError (carrying the last iterate and residual) if
-    the residual is still above `tol` after `max_iter` iterations.
+    the residual is still above DEFAULT_TOL after DEFAULT_MAX_ITER steps.
     """
     if not 0 < s < math.inf:
         raise ValueError("s must be positive and finite, got %r" % (s,))
     if not 0 < a < math.inf:
         raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
-    if not tol > 0:
-        raise ValueError("tol must be positive, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1, got %r" % (max_iter,))
 
     # beta(s + a - a*nxt), computed for the residual, is the next iterate:
     # one transform evaluation per step.  nxt <= 1 keeps the argument >= s.
     pi = 0.0
     nxt = d.lst(s + a - a * pi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         if nxt < pi:
             # monotone iterates can only stall on floating-point noise
             nxt = pi
         beta = d.lst(s + a - a * nxt)
         residual = abs(nxt - beta)
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             return BusyPeriodSolution(value=nxt, iterations=it, residual=residual)
         pi, nxt = nxt, beta
     raise ConvergenceError(
         "Kendall iteration did not reach tol=%g in %d iterations (residual %g)"
-        % (tol, max_iter, residual),
+        % (DEFAULT_TOL, DEFAULT_MAX_ITER, residual),
         last_value=pi,
         residual=residual,
-        iterations=max_iter,
+        iterations=DEFAULT_MAX_ITER,
     )

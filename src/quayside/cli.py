@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 
 import argparse
 import csv
-import os
 import sys
 
 from .distributions import parse_distribution
@@ -45,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed():
-    return int(os.environ.get("QUAYSIDE_SEED", "0"))
-
-
 def _build_parser():
     p = _Parser(prog="quayside", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -78,7 +73,7 @@ def _build_parser():
     sp = sub.add_parser("simulate", help="discrete-event simulation oracle")
     sp.add_argument("--scenario", required=True)
     sp.add_argument("--arrivals", type=int, default=10**5)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid", default="", help="comma-separated x values for the wait ECDF")
     add_format(sp)
 
@@ -154,9 +149,8 @@ def _cmd_traffic(args, out):
 
 def _cmd_simulate(args, out):
     sc = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else _default_seed()
     grid = tuple(float(v) for v in args.grid.split(",") if v.strip()) if args.grid else ()
-    cfg = SimConfig(seed=seed, total_arrivals=args.arrivals, ecdf_grid=grid)
+    cfg = SimConfig(seed=args.seed, total_arrivals=args.arrivals, ecdf_grid=grid)
     if isinstance(sc, Mg1Scenario):
         res = simulate_mg1(sc.service, sc.arrival_rate, sc.order, cfg)
     else:

@@ -9,6 +9,7 @@ sampling mutates only the generator handed in by the caller.
 """
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -142,15 +143,26 @@ class Erlang(ServiceDistribution):
         return self.k / self.rate
 
     def cdf(self, x):
-        if x <= 0:
-            return 0.0
         bx = self.rate * x
-        # 1 - e^{-bx} sum_{j<k} (bx)^j/j!
-        try:
-            return 1.0 - math.exp(-bx) * sum(bx**j / math.factorial(j) for j in range(self.k))
-        except OverflowError:
-            # a term leaves the double range: form each e^{-bx} (bx)^j/j! from its logarithm
-            return 1.0 - sum(math.exp(j * math.log(bx) - bx - math.lgamma(j + 1)) for j in range(self.k))
+        if bx <= 0:  # x <= 0, or x so small that bx underflows
+            return 0.0
+        if bx == math.inf:
+            return 1.0
+        log_bx = math.log(bx)
+
+        def p(j):  # Poisson(bx) probability of j, from its logarithm: no term overflows
+            return math.exp(j * log_bx - bx - math.lgamma(j + 1))
+
+        if bx < self.k:
+            # here 1 - sum_{j<k} p(j) cancels: sum the tail j >= k instead,
+            # whose terms fall from p(k) on, as p(j+1)/p(j) = bx/(j+1) < 1
+            total = term = p(self.k)
+            for j in itertools.count(self.k + 1):
+                term *= bx / j
+                if total + term == total:
+                    return total
+                total += term
+        return 1.0 - sum(map(p, range(self.k)))
 
     def sample(self, rng, size=None):
         shape = (self.k,) if size is None else (self.k, size)

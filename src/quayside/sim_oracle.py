@@ -26,10 +26,11 @@ and the 95% confidence interval of their mean comes from 20 batch means
 over that order.
 """
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional, Tuple
 
 import numpy as np
@@ -92,43 +93,36 @@ def _substream(seed, group, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group, index)))
 
 
+def _floats(blocks):
+    """Python floats of an endless run of numpy blocks, _SLICE values at a time."""
+    for block in blocks:
+        for i in range(0, len(block), _SLICE):
+            yield from block[i:i + _SLICE].tolist()
+
+
+def _epochs(rng, rate):
+    """Endless epoch blocks of one Poisson class: running sums of _CHUNK exponential draws."""
+    last = 0.0
+    while True:
+        block = rng.exponential(1.0 / rate, _CHUNK)
+        block[0] += last
+        yield np.cumsum(block, out=block)  # sequential: same bits as a running sum
+        last = block[-1]
+
+
 def _arrivals(seed, rates):
     """Endless (epoch, class) pairs of all Poisson classes in time order.
 
-    Class k's epochs are running sums of _CHUNK-sized exponential draws
-    from substream (0, k).  Each round yields every buffered epoch below
-    the smallest buffered maximum, which no later draw can undercut, and
-    refills the classes that set that bound; equal epochs go lower class
-    first.
+    Class k's epochs come from substream (0, k); equal epochs go lower
+    class first, by tuple order.
     """
-    rngs = [_substream(seed, 0, k) for k in range(len(rates))]
-
-    def draw(k, last):
-        block = rngs[k].exponential(1.0 / rates[k], _CHUNK)
-        block[0] += last
-        return np.cumsum(block, out=block)  # sequential: same bits as a running sum
-
-    bufs = [draw(k, 0.0) for k in range(len(rates))]
-    labels = np.arange(len(rates))
-    while True:
-        bound = min(buf[-1] for buf in bufs)
-        cuts = [int(np.searchsorted(buf, bound)) for buf in bufs]
-        epochs = np.concatenate([buf[:cut] for buf, cut in zip(bufs, cuts)])
-        order = np.argsort(epochs, kind="stable")
-        epochs, classes = epochs[order], np.repeat(labels, cuts)[order]
-        for i in range(0, len(epochs), _SLICE):
-            yield from zip(epochs[i:i + _SLICE].tolist(), classes[i:i + _SLICE].tolist())
-        for k, cut in enumerate(cuts):
-            rest = bufs[k][cut:]
-            bufs[k] = np.concatenate((rest, draw(k, rest[-1]))) if rest[-1] == bound else rest
+    return heapq.merge(*(zip(_floats(_epochs(_substream(seed, 0, k), rate)), repeat(k))
+                         for k, rate in enumerate(rates)))
 
 
 def _services(rng, law):
     """Endless service times of one class, drawn in _CHUNK blocks."""
-    while True:
-        block = law.sample(rng, _CHUNK)
-        for i in range(0, _CHUNK, _SLICE):
-            yield from block[i:i + _SLICE].tolist()
+    return _floats(map(law.sample, repeat(rng), repeat(_CHUNK)))
 
 
 def _batch_means_ci(waits):
@@ -143,8 +137,7 @@ def _batch_means_ci(waits):
 def _ecdf(waits, grid):
     if not grid:
         return ()
-    srt = np.sort(waits)
-    return tuple(float(np.searchsorted(srt, x, side="right")) / len(srt) for x in grid)
+    return tuple((np.searchsorted(np.sort(waits), grid, side="right") / len(waits)).tolist())
 
 
 def _simulate(classes, discipline, cfg):

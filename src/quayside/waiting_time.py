@@ -88,14 +88,14 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
     each node rounded to double, as the public transforms would be, and
     w(s)/s and the weighted sum are formed in extended precision.
     """
+    if discipline not in (LIFO, FIFO):
+        raise ValueError("unknown discipline %r" % (discipline,))
     _check_args(a, x, "x")
     rho = a * d.moment1()
     if rho >= 1.0:
         raise StationarityError(
             "waiting-time CDF undefined: traffic coefficient %.6g >= 1" % rho
         )
-    if discipline not in (LIFO, FIFO):
-        raise ValueError("unknown discipline %r" % (discipline,))
     nodes = _nodes(x, inv.order)
     # the nodes increase with k; at a subnormal x the last ones overflow a double
     if float(nodes[-1]) == math.inf:

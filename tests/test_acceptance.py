@@ -113,7 +113,7 @@ def test_criterion_2_lifo_tables():
     # row 1 of 4.1.5: the quadratic root is exactly 2/3 and w is exactly 0.6
     _, rows = wait_table("4.1.5")
     row = rows[0]
-    sol = busy_period_lst(row["service"], row["a"], row["s"], tol=KENDALL_TOL)
+    sol = busy_period_lst(row["service"], row["a"], row["s"])
     assert sol.value == pytest.approx(2 / 3, abs=1e-9)
     assert sol.residual <= KENDALL_TOL
     assert lifo_wait_lst(row["service"], row["a"], row["s"]).value == pytest.approx(0.6, abs=1e-9)
@@ -219,7 +219,7 @@ def test_criterion_7_properties():
 
     # Kendall residual at the returned fixed point
     for d, a, s in [(Exponential(10), 12.0, 1.0), (Uniform(0.1, 0.3), 4.0, 0.5), (Gamma3(9), 2.0, 1.0)]:
-        sol = busy_period_lst(d, a, s, tol=KENDALL_TOL)
+        sol = busy_period_lst(d, a, s)
         assert sol.residual <= KENDALL_TOL
 
     # Stehfest weight identities: weights sum to zero, alternate in sign

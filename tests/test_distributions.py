@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_cdf_monotone_bounded(d):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert d.cdf(0.0) == 0.0
     assert d.cdf(1e200) == 1.0
+
+
+@pytest.mark.parametrize("d", ALL + [Uniform(0, 1), Erlang(200, 1.0)])
+def test_cdf_at_infinity_is_one(d):
+    assert d.cdf(math.inf) == 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 20, 200])
+def test_erlang_cdf_matches_incomplete_gamma(k):
+    mpmath = pytest.importorskip("mpmath")
+    # half-decades from 1e-6 to 1e4, both sides of bx = k, where the cdf
+    # switches from the upper Poisson tail to one minus the lower sum, and
+    # far into the upper tail
+    grid = ([10 ** (e / 2) for e in range(-12, 9)] + [k * f for f in (0.5, 0.999, 1.0, 1.001, 2.0)]
+            + [1e10, 1e100, 1e200])
+    with mpmath.workdps(40):
+        for x in grid:
+            want = float(mpmath.gammainc(k, 0, x, regularized=True))
+            if want >= sys.float_info.min:  # a normal double
+                assert abs(Erlang(k, 1.0).cdf(x) - want) <= 1e-12 * want, x
 
 
 def test_erlang_cdf_where_the_power_sum_overflows():

@@ -127,6 +127,9 @@ def test_wait_cdf_refuses_overload():
 def test_wait_cdf_unknown_discipline():
     with pytest.raises(ValueError):
         wait_cdf("sjf", Exponential(5), 4.0, 1.0)
+    # the discipline is checked before stationarity
+    with pytest.raises(ValueError, match="unknown discipline 'bogus'"):
+        wait_cdf("bogus", Exponential(1), 2.0, 1.0)
 
 
 def test_wait_cdf_accepts_custom_inversion_order():

@@ -37,10 +37,20 @@ class ObservationSample:
 
 
 def empirical_moment(sample, k):
-    """Empirical moment of order k: mean of X_i^k."""
+    """Empirical moment of order k: mean of X_i^k.  The values are divided
+    by the largest one first, so the mean of a finite sample is finite."""
     if k < 1:
         raise ValueError("moment order must be >= 1, got %r" % (k,))
-    return sum(v**k for v in sample.values) / len(sample.values)
+    top = max(sample.values)
+    if top == 0:
+        return 0.0
+    terms = map(top.__rtruediv__, sample.values)  # v / top, each <= 1
+    if k > 1:
+        terms = (v**k for v in terms)
+    try:
+        return top**k * (math.fsum(terms) / len(sample.values))
+    except OverflowError:
+        raise ValueError("order-%d powers of %r overflow a double" % (k, top)) from None
 
 
 def estimate_arrival_rate(sample):

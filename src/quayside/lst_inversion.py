@@ -76,35 +76,24 @@ def stehfest_weights(n):
     return [float(v) for v in _weights_exact(n)]
 
 
-def _nodes(x, n):
-    """The Gaver-Stehfest nodes s_k = k*ln2/x, k = 1..n, as a longdouble array."""
-    if not 0 < x < math.inf:
-        raise ValueError("inversion point x must be positive and finite, got %r" % (x,))
-    return np.arange(1, n + 1, dtype=_LONG) * (_LN2 / _LONG(x))
-
-
-def _combine(values, x, n):
-    """ln2/x * sum_k V_k * values[k-1], summed in extended precision in node order.
-
-    The cumulative sum adds the terms one after another, k = 1..n; a
-    pairwise sum such as np.sum's would change the last bits.
-    """
-    terms = _weights_long(n) * np.asarray(values, dtype=_LONG)
-    result = float(np.cumsum(terms)[-1] * (_LN2 / _LONG(x)))
-    if not math.isfinite(result):
-        raise InversionError(
-            "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, n)
-        )
-    return result
-
-
 def invert(transform, x, spec=InversionSpec()):
     """Gaver-Stehfest estimate of f(x) from its Laplace transform.
 
     `transform` is called once per node, at s_k = k*ln2/x for k = 1..order
     in that order; each s is a numpy longdouble scalar, so that
     pure-arithmetic transforms keep the extra precision automatically.
-    The weighted sum runs in extended precision, in node order.
+    The weighted sum runs in extended precision, in node order: the
+    cumulative sum adds the terms one after another, where a pairwise sum
+    such as np.sum's would change the last bits.
     """
-    nodes = _nodes(x, spec.order)
-    return _combine([transform(s) for s in nodes], x, spec.order)
+    if not 0 < x < math.inf:
+        raise ValueError("inversion point x must be positive and finite, got %r" % (x,))
+    step = _LN2 / _LONG(x)
+    values = [transform(s) for s in np.arange(1, spec.order + 1, dtype=_LONG) * step]
+    terms = _weights_long(spec.order) * np.asarray(values, dtype=_LONG)
+    result = float(np.cumsum(terms)[-1] * step)
+    if not math.isfinite(result):
+        raise InversionError(
+            "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, spec.order)
+        )
+    return result

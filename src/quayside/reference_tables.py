@@ -129,20 +129,27 @@ def _classify(delta):
     return ERRATUM
 
 
-def recompute_table(table_id):
-    """Recompute every printed cell of a traffic table and classify it."""
+def _recompute_rows(table_id):
+    """Each row of a traffic table as (law, lambda, recomputed cells); the
+    cells run beta1 or sigma (where printed), then rho."""
     spec, laws = _table("traffic", table_id)
     report = traffic_coefficients(_scenario(spec, laws))
-
-    cells = []
-    for i, (row, d) in enumerate(zip(spec["rows"], laws)):
-        k = i + 1
+    out = []
+    for k, (row, d) in enumerate(zip(spec["rows"], laws), start=1):
+        cells = []
         if "beta1_printed" in row:
             cells.append(_cell(table_id, k, "beta1", row["beta1_printed"], d.moment1()))
         if "sigma_printed" in row:
-            cells.append(_cell(table_id, k, "sigma", row["sigma_printed"], report.sigma[i]))
-        cells.append(_cell(table_id, k, "rho", row["rho_printed"], report.rho[i]))
-    return TableErrata(table_id=table_id, cells=tuple(cells))
+            cells.append(_cell(table_id, k, "sigma", row["sigma_printed"], report.sigma[k - 1]))
+        cells.append(_cell(table_id, k, "rho", row["rho_printed"], report.rho[k - 1]))
+        out.append((d, row["lambda"], cells))
+    return out
+
+
+def recompute_table(table_id):
+    """Recompute every printed cell of a traffic table and classify it."""
+    cells = tuple(c for _, _, row in _recompute_rows(table_id) for c in row)
+    return TableErrata(table_id=table_id, cells=cells)
 
 
 def _cell(table_id, k, column, printed, recomputed):
@@ -202,35 +209,29 @@ def _render_wait_table(table_id, inv):
 
 
 def _render_traffic_table(table_id):
-    errata = recompute_table(table_id)
-    classes = traffic_scenario(table_id).classes
-    by_row = {}
-    for cell in errata.cells:
-        by_row.setdefault(cell.row, {})[cell.column] = cell
     headers = ("k", "service", "lambda", "sigma/beta1 ours", "printed", "rho ours", "rho printed", "status")
     out_rows = []
-    notes = []
-    for i, cls in enumerate(classes, start=1):
-        cells = by_row[i]
-        aux = cells.get("beta1") or cells.get("sigma")
-        rho = cells["rho"]
-        status = rho.status if aux is None or aux.status != ERRATUM else ERRATUM
+    errata = []
+    for k, (d, lam, cells) in enumerate(_recompute_rows(table_id), start=1):
+        *aux, rho = cells
+        flagged = [c for c in cells if c.status == ERRATUM]
+        errata.extend(flagged)
         out_rows.append((
-            str(i),
-            cls.service.literal(),
-            "%g" % cls.lam,
-            _fmt(aux.recomputed) if aux else "",
-            aux.printed if aux else "",
+            str(k),
+            d.literal(),
+            "%g" % lam,
+            _fmt(aux[0].recomputed) if aux else "",
+            aux[0].printed if aux else "",
             _fmt(rho.recomputed),
             rho.printed,
-            status,
+            ERRATUM if flagged else rho.status,
         ))
-    for cell in errata.errata:
-        notes.append(
-            "row %d %s: printed %s but recomputed %.6g (delta %.3g)"
-            % (cell.row, cell.column, cell.printed, cell.recomputed, cell.delta)
-        )
-    return RenderedTable(table_id, headers, tuple(out_rows), tuple(notes)), list(errata.errata)
+    notes = tuple(
+        "row %d %s: printed %s but recomputed %.6g (delta %.3g)"
+        % (c.row, c.column, c.printed, c.recomputed, c.delta)
+        for c in errata
+    )
+    return RenderedTable(table_id, headers, tuple(out_rows), notes), errata
 
 
 def reproduce(table_ids="all", inv=InversionSpec()):
@@ -247,6 +248,8 @@ def reproduce(table_ids="all", inv=InversionSpec()):
         ids = groups[table_ids]
     else:
         ids = [t.strip() for t in table_ids.split(",") if t.strip()]
+    if not ids:
+        raise ValueError("no table ids given")
 
     tables = []
     errata = []

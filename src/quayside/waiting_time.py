@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .busy_period import BusyPeriodSolution, busy_period_lst
 from .errors import SingularityError, StationarityError
-from .lst_inversion import _LONG, InversionSpec, _combine, _nodes
+from .lst_inversion import InversionSpec, invert
 
 __all__ = ["WaitEvaluation", "lifo_wait_lst", "fifo_wait_lst", "wait_cdf"]
 
@@ -84,9 +82,9 @@ def fifo_wait_lst(d, a, s):
 def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
     """W(x) by numerical inversion of s -> w(s)/s, clamped to [0, 1].
 
-    All Gaver-Stehfest nodes are evaluated in one pass: w is computed at
-    each node rounded to double, as the public transforms would be, and
-    w(s)/s and the weighted sum are formed in extended precision.
+    w is evaluated at each Gaver-Stehfest node rounded to double, as the
+    public transforms would be; w(s)/s divides by the extended-precision
+    node, and `invert` forms the weighted sum.
     """
     if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))
@@ -96,21 +94,19 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
         raise StationarityError(
             "waiting-time CDF undefined: traffic coefficient %.6g >= 1" % rho
         )
-    nodes = _nodes(x, inv.order)
-    # the nodes increase with k; at a subnormal x the last ones overflow a double
-    if float(nodes[-1]) == math.inf:
-        raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
-    points = nodes.astype(float).tolist()
-    if discipline == LIFO:
-        values = [_lifo(d, a, s)[0] for s in points]
-    else:
-        values = [_fifo(d, a, s) for s in points]
-    value = _combine(np.array(values, dtype=_LONG) / nodes, x, inv.order)
-    value = min(max(value, 0.0), 1.0)
+
+    def over_s(s):
+        point = float(s)
+        # at a subnormal x the largest nodes k*ln2/x overflow a double
+        if point == math.inf:
+            raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
+        w = _lifo(d, a, point)[0] if discipline == LIFO else _fifo(d, a, point)
+        return w / s
+
     return WaitEvaluation(
         discipline=discipline,
         point=x,
-        value=value,
+        value=min(max(invert(over_s, x, inv), 0.0), 1.0),
         stationary=True,
         kind="cdf",
     )

@@ -23,6 +23,20 @@ def test_empirical_moment_order_validated():
         empirical_moment(ObservationSample([1.0]), 0)
 
 
+def test_huge_sample_gives_finite_estimates():
+    # a sum of the raw values overflows a double; the mean does not
+    sample = ObservationSample([1e308, 1e308])
+    assert estimate_arrival_rate(sample) == 1e308
+    assert estimate_service_rate(sample) == 1e-308
+    for n in range(1, 50):
+        assert estimate_arrival_rate(ObservationSample([1.7976931348623157e308] * n)) == 1.7976931348623157e308
+
+
+def test_overflowing_higher_moment_is_a_value_error():
+    with pytest.raises(ValueError, match="order-2 powers of 1e\\+300 overflow a double"):
+        empirical_moment(ObservationSample([1e300, 1.0]), 2)
+
+
 def test_arrival_rate_is_sample_mean():
     assert estimate_arrival_rate(ObservationSample([3, 5, 4, 4])) == pytest.approx(4.0)
     assert estimate_arrival_rate(ObservationSample([7])) == pytest.approx(7.0)

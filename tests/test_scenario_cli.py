@@ -101,6 +101,8 @@ def test_cli_usage_errors_exit_1():
         ["cdf", "--order", "fifo", "--service", "weibull(1)", "--rate", "1", "--x", "1"],
         ["traffic", "--scenario", "/nonexistent.json"],
         ["reproduce", "--tables", "9.9.9"],
+        ["reproduce", "--tables", ","],
+        ["reproduce", "--tables", ""],
         ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
         ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
@@ -213,3 +215,9 @@ def test_reproduce_accepts_comma_separated_ids():
     assert reproduce("4.2.4,4.3.1") == reproduce(["4.2.4", "4.3.1"])
     tables, _ = reproduce("4.2.4")
     assert [t.table_id for t in tables] == ["4.2.4"]
+
+
+def test_reproduce_rejects_empty_table_list():
+    # the CLI cases are in test_cli_usage_errors_exit_1
+    with pytest.raises(ValueError, match="no table ids given"):
+        reproduce([])

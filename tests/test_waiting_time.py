@@ -190,3 +190,9 @@ def test_cdf_nodes_beyond_double_range_rejected():
     for discipline in ("lifo", "fifo"):
         with pytest.raises(ValueError, match="x=1e-308 is too small: its Gaver-Stehfest nodes overflow a double"):
             wait_cdf(discipline, Exponential(5), 4.0, 1e-308)
+
+
+def test_invert_keeps_longdouble_nodes_beyond_double_range():
+    # the double-overflow guard belongs to wait_cdf: invert's longdouble
+    # nodes at x=1e-308 stay finite, and 1/(s+1) inverts to e^-x ~ 1
+    assert invert(lambda s: 1 / (s + 1), 1e-308) == pytest.approx(1.0, abs=1e-6)

@@ -13,7 +13,6 @@ from .distributions import (
     Erlang2,
     Exponential,
     Gamma3,
-    ServiceDistribution,
     Uniform,
     parse_distribution,
 )

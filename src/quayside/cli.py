@@ -19,7 +19,7 @@ from .errors import (
     SingularityError,
     StationarityError,
 )
-from .estimation import ARRIVALS, SERVICE, estimate_arrival_rate, estimate_service_rate, load_observations
+from .estimation import estimate_arrival_rate, estimate_service_rate, load_observations
 from .lst_inversion import DEFAULT_ORDER, InversionSpec, invert
 from .reference_tables import reproduce
 from .scenario import Mg1Scenario, load_scenario
@@ -168,16 +168,16 @@ def _cmd_simulate(args, out):
     _emit(rows, ("metric", "value", "ci_half_width"), args.format, out)
 
 
-# --kind -> (observation kind, parameter label, estimator)
+# --kind -> (parameter label, estimator)
 _ESTIMATORS = {
-    "arrival": (ARRIVALS, "arrival_rate", estimate_arrival_rate),
-    "service": (SERVICE, "service_rate", estimate_service_rate),
+    "arrival": ("arrival_rate", estimate_arrival_rate),
+    "service": ("service_rate", estimate_service_rate),
 }
 
 
 def _cmd_estimate(args, out):
-    kind, label, estimator = _ESTIMATORS[args.kind]
-    sample = load_observations(args.file, kind=kind)
+    label, estimator = _ESTIMATORS[args.kind]
+    sample = load_observations(args.file)
     _emit([(label, _num(estimator(sample)), str(len(sample.values)))],
           ("parameter", "estimate", "n"), args.format, out)
 
@@ -234,7 +234,10 @@ def run(argv, out=None):
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print("error: %s" % exc.args[0], file=sys.stderr)
+        return EXIT_USAGE
+    except (ScenarioError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except StationarityError as exc:

@@ -3,7 +3,10 @@
 Three law families are supported: exponential (rate b), uniform on
 [lo, hi] and Erlang of integer order k >= 2 (rate b).  ``Erlang2(b)`` and
 ``Gamma3(b)`` build the orders 2 and 3 of the source tables; order 3 keeps
-the literal ``gamma3(b)`` because its transform is (b/(s+b))^3.  Every
+the literal ``gamma3(b)`` because its transform is (b/(s+b))^3.  Each law
+has ``lst(s)`` (the Laplace-Stieltjes transform at real s >= 0),
+``moment1()`` (the mean), ``cdf(x)``, ``sample(rng, size)`` and
+``literal()`` (the text :func:`parse_distribution` reads back).  Every
 object is immutable after construction and all methods are pure;
 sampling mutates only the generator handed in by the caller.
 """
@@ -15,7 +18,6 @@ import re
 from dataclasses import dataclass
 
 __all__ = [
-    "ServiceDistribution",
     "Exponential",
     "Uniform",
     "Erlang",
@@ -25,36 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ServiceDistribution:
-    """Common interface: lst, moment1, cdf, sample, literal."""
-
-    def lst(self, s):
-        """Laplace-Stieltjes transform evaluated at real s >= 0."""
-        raise NotImplementedError
-
-    def moment1(self):
-        """Mean service time."""
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def sample(self, rng, size=None):
-        """Draw from the law using a caller-supplied numpy Generator."""
-        raise NotImplementedError
-
-    def literal(self):
-        """ASCII literal accepted by :func:`parse_distribution`."""
-        raise NotImplementedError
-
-    def _check_s(self, s):
-        if not s >= 0:
-            raise ValueError("transform argument s must be >= 0, got %r" % (s,))
+def _check_s(s):
+    if not s >= 0:
+        raise ValueError("transform argument s must be >= 0, got %r" % (s,))
 
 
 @dataclass(frozen=True)
-class Exponential(ServiceDistribution):
+class Exponential:
     rate: float
 
     def __post_init__(self):
@@ -62,7 +41,7 @@ class Exponential(ServiceDistribution):
             raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 
     def lst(self, s):
-        self._check_s(s)
+        _check_s(s)
         return self.rate / (s + self.rate)
 
     def moment1(self):
@@ -81,7 +60,7 @@ class Exponential(ServiceDistribution):
 
 
 @dataclass(frozen=True)
-class Uniform(ServiceDistribution):
+class Uniform:
     lo: float
     hi: float
 
@@ -92,7 +71,7 @@ class Uniform(ServiceDistribution):
             )
 
     def lst(self, s):
-        self._check_s(s)
+        _check_s(s)
         width = self.hi - self.lo
         z = s * width
         if z < 1e-8 and s * self.lo < 1e-8:
@@ -123,7 +102,7 @@ class Uniform(ServiceDistribution):
 
 
 @dataclass(frozen=True)
-class Erlang(ServiceDistribution):
+class Erlang:
     """Sum of k independent exponentials with common rate: transform (b/(s+b))^k."""
 
     k: int
@@ -136,7 +115,7 @@ class Erlang(ServiceDistribution):
             raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 
     def lst(self, s):
-        self._check_s(s)
+        _check_s(s)
         return (self.rate / (s + self.rate)) ** self.k
 
     def moment1(self):

@@ -1,9 +1,11 @@
 """Method-of-moments estimators for arrival and service parameters.
 
 Observation files are plain text: one nonnegative number per line,
-blank lines and `#` comments ignored.  Whether arrival observations are
-per-period counts or interarrival times is up to the user; the estimator
-is the sample mean either way, only its interpretation changes.
+blank lines and `#` comments ignored.  The arrival-rate estimator is the
+sample mean of arrival counts per unit period (`quayside estimate --kind
+arrival`).  For interarrival times the sample mean estimates 1/rate, so
+the rate is 1/mean, which is what the service-rate estimator computes
+(`--kind service`).
 """
 
 import math
@@ -18,14 +20,10 @@ __all__ = [
     "load_observations",
 ]
 
-ARRIVALS = "arrival_counts_or_interarrivals"
-SERVICE = "service_durations"
-
 
 @dataclass(frozen=True)
 class ObservationSample:
     values: Tuple[float, ...]
-    kind: str = ARRIVALS
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(map(float, self.values)))
@@ -54,7 +52,8 @@ def empirical_moment(sample, k):
 
 
 def estimate_arrival_rate(sample):
-    """Sample mean; the unbiased moment estimator of the Poisson rate."""
+    """Sample mean of counts per unit period; the unbiased moment estimator
+    of the Poisson rate."""
     return empirical_moment(sample, 1)
 
 
@@ -70,7 +69,7 @@ def estimate_service_rate(sample):
     return 1.0 / mean
 
 
-def load_observations(path, kind=ARRIVALS):
+def load_observations(path):
     """Read a one-number-per-line observation file."""
     values = []
     with open(path) as fh:
@@ -82,4 +81,4 @@ def load_observations(path, kind=ARRIVALS):
                 values.append(float(text))
             except ValueError:
                 raise ValueError("%s:%d: not a number: %r" % (path, lineno, text))
-    return ObservationSample(values, kind=kind)
+    return ObservationSample(values)

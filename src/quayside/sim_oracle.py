@@ -21,9 +21,10 @@ Discipline semantics, fixed here once:
 Ties between an arrival and a completion at the same instant resolve
 completion-first, so a job with zero remaining work is never preempted.
 Simultaneous arrivals enter in class order.  A job's wait runs from its
-arrival to its first start of service; waits are kept in arrival order,
-and the 95% confidence interval of their mean comes from 20 batch means
-over that order.
+arrival to its first start of service.  The first 10% of
+``total_arrivals`` arrivals warm the queue up and are not measured; the
+measured waits are kept in arrival order, and the 95% confidence
+interval of their mean comes from 20 batch means over that order.
 """
 
 import heapq
@@ -31,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,23 +57,19 @@ _NO_ARRIVAL = (math.inf, None)
 class SimConfig:
     seed: int
     total_arrivals: int                  # measured (post-warmup) arrivals
-    warmup_arrivals: Optional[int] = None  # default: 10% of total
     ecdf_grid: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.total_arrivals < 1:
             raise ValueError("total_arrivals must be >= 1")
-        if self.warmup_arrivals is not None and self.warmup_arrivals < 0:
-            raise ValueError("warmup_arrivals must be >= 0, got %r" % (self.warmup_arrivals,))
         object.__setattr__(self, "ecdf_grid", tuple(sorted(self.ecdf_grid)))
         if not all(map(math.isfinite, self.ecdf_grid)):
             raise ValueError("ecdf_grid points must be finite, got %r" % (self.ecdf_grid,))
 
     @property
     def warmup(self):
-        if self.warmup_arrivals is None:
-            return self.total_arrivals // 10
-        return self.warmup_arrivals
+        """Arrivals simulated before measuring: 10% of total_arrivals."""
+        return self.total_arrivals // 10
 
 
 @dataclass(frozen=True)
@@ -219,6 +216,8 @@ def simulate_mg1(d, a, order, cfg):
     """Non-preemptive single-class queue; `order` is "fifo" or "lifo"."""
     if order not in (FIFO, LIFO):
         raise ValueError("order must be fifo or lifo, got %r" % (order,))
+    if not 0 < a < math.inf:
+        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
     rho = a * d.moment1()
     if rho >= 1.0:
         raise StationarityError(

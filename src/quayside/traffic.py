@@ -39,7 +39,7 @@ DISCIPLINES = (RESUME, LOSS, REPEAT)
 @dataclass(frozen=True)
 class PriorityClass:
     lam: float              # arrival rate
-    service: object         # ServiceDistribution
+    service: object         # a law of .distributions
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:

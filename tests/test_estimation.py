@@ -116,9 +116,8 @@ def test_round_trip_with_distributions():
 def test_load_observations(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("# service durations\n0.1\n0.2  # trailing comment\n\n0.3\n")
-    sample = load_observations(path, kind="service_durations")
+    sample = load_observations(path)
     assert sample.values == (0.1, 0.2, 0.3)
-    assert sample.kind == "service_durations"
 
 
 def test_load_observations_bad_line(tmp_path):

@@ -119,6 +119,12 @@ def test_cli_usage_errors_exit_1():
         assert code == 1, argv
 
 
+def test_cli_unknown_table_message_is_unquoted(capsys):
+    code, _ = run_cli(["reproduce", "--tables", "9.9.9"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown table id '9.9.9'\n"
+
+
 def _cli_wait(order, service, rate, s):
     code, out = run_cli(["wait", "--order", order, "--service", service, "--rate", rate, "--s", s, "--format", "csv"])
     assert code == 0

@@ -8,7 +8,7 @@ correct even when the queue is overloaded).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError
 
@@ -18,8 +18,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
 
 
-@dataclass(frozen=True)
-class BusyPeriodSolution:
+class BusyPeriodSolution(NamedTuple):
     value: float      # pi(s), in [0, 1]
     iterations: int
     residual: float   # |pi - beta(s + a - a*pi)|
@@ -47,7 +46,7 @@ def busy_period_lst(d, a, s):
         beta = d.lst(s + a - a * nxt)
         residual = abs(nxt - beta)
         if residual <= DEFAULT_TOL:
-            return BusyPeriodSolution(value=nxt, iterations=it, residual=residual)
+            return BusyPeriodSolution(nxt, it, residual)
         pi, nxt = nxt, beta
     raise ConvergenceError(
         "Kendall iteration did not reach tol=%g in %d iterations (residual %g)"

@@ -118,14 +118,14 @@ def _cmd_wait(args, out):
     ev = (lifo_wait_lst if args.order == LIFO else fifo_wait_lst)(d, args.rate, args.s)
     if not ev.stationary:
         print("warning: traffic coefficient >= 1; transform value is formal", file=sys.stderr)
-    _emit([(args.order, _num(ev.point), _num(ev.value), str(ev.stationary).lower())],
+    _emit([(args.order, _num(args.s), _num(ev.value), str(ev.stationary).lower())],
           ("discipline", "s", "w", "stationary"), args.format, out)
 
 
 def _cmd_cdf(args, out):
     d = parse_distribution(args.service)
     ev = wait_cdf(args.order, d, args.rate, args.x, InversionSpec(order=args.inv_order))
-    _emit([(args.order, _num(ev.point), _num(ev.value))],
+    _emit([(args.order, _num(args.x), _num(ev.value))],
           ("discipline", "x", "W"), args.format, out)
 
 
@@ -135,9 +135,9 @@ def _cmd_traffic(args, out):
         raise ScenarioError("traffic needs a priority scenario (discipline + classes)")
     report = traffic_coefficients(sc)
     rows = [
-        (str(k + 1), sc.classes[k].service.literal(), _num(sc.classes[k].lam),
-         _num(report.sigma[k]), _num(report.rho[k]), str(report.stationary_flags[k]).lower())
-        for k in range(len(sc.classes))
+        (str(k), cls.service.literal(), _num(cls.lam), _num(sigma), _num(rho), str(flag).lower())
+        for k, (cls, sigma, rho, flag)
+        in enumerate(zip(sc.classes, report.sigma, report.rho, report.stationary_flags), start=1)
     ]
     _emit(rows, ("class", "service", "lambda", "sigma", "rho", "stationary"), args.format, out)
     if report.stationary:

@@ -144,8 +144,10 @@ class Erlang:
         return 1.0 - sum(map(p, range(self.k)))
 
     def sample(self, rng, size=None):
-        shape = (self.k,) if size is None else (self.k, size)
-        return rng.exponential(1.0 / self.rate, shape).sum(axis=0)
+        """Each variate sums k consecutive exponential draws, so a run of
+        variates does not depend on how many are drawn per call."""
+        shape = (self.k,) if size is None else (size, self.k)
+        return rng.exponential(1.0 / self.rate, shape).sum(axis=-1)
 
     def literal(self):
         name = "gamma3" if self.k == 3 else "erlang%d" % self.k

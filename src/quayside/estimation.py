@@ -9,6 +9,7 @@ the rate is 1/mean, which is what the service-rate estimator computes
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -37,8 +38,9 @@ class ObservationSample:
 def empirical_moment(sample, k):
     """Empirical moment of order k: mean of X_i^k.  The values are divided
     by the largest one first, so the mean of a finite sample is finite."""
-    if k < 1:
-        raise ValueError("moment order must be >= 1, got %r" % (k,))
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError("moment order must be an integer >= 1, got %r" % (k,))
+    k = int(k)  # a numpy integer would turn the powers below into numpy floats
     top = max(sample.values)
     if top == 0:
         return 0.0

@@ -10,6 +10,7 @@ accumulation loses the low digits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,20 +32,24 @@ class InversionSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        if self.order % 2 != 0 or not (4 <= self.order <= 20):
-            raise ValueError("order must be even and in [4, 20], got %r" % (self.order,))
+        object.__setattr__(self, "order", _check_order(self.order, 4))
 
 
-def _check_order(n):
+def _check_order(n, low):
+    """n as a Python int, if it is an even integer in [low, 20].
+
+    A numpy integer would overflow in the exact weight arithmetic.
+    """
     # weight formula itself is fine down to n=2; the public range starts at 4
-    if n % 2 != 0 or not (2 <= n <= 20):
-        raise ValueError("order must be even and in [2, 20], got %r" % (n,))
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n % 2 != 0 or not low <= n <= 20:
+        raise ValueError("order must be an even integer in [%d, 20], got %r" % (low, n))
+    return int(n)
 
 
 @lru_cache(maxsize=None)
 def _weights_exact(n):
     """Stehfest weights V_1..V_n as exact Fractions."""
-    _check_order(n)
+    n = _check_order(n, 2)
     h = n // 2
     out = []
     for k in range(1, n + 1):

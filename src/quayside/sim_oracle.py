@@ -7,7 +7,10 @@ change; preemption can only happen when there are at least two classes.
 Every run is driven by numpy substreams derived from one master seed
 (separate streams per class for interarrivals and service draws), so a
 given SimConfig always reproduces bit-identical results and adding a
-class does not perturb the other classes' draws.
+class does not perturb the other classes' draws.  Each stream is drawn in
+blocks of _CHUNK values per generator call; the block size changes no
+result, because numpy's exponential and uniform draws do not depend on it
+and an Erlang service sums k consecutive draws.
 
 Discipline semantics, fixed here once:
 
@@ -29,6 +32,7 @@ interval of their mean comes from 20 batch means over that order.
 
 import heapq
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -42,10 +46,9 @@ from .waiting_time import FIFO, LIFO
 
 __all__ = ["SimConfig", "SimResult", "simulate_mg1", "simulate_priority"]
 
-_CHUNK = 1 << 16  # draws per generator call; it fixes which draws an Erlang service sums
-# values turned into Python floats at a time: converting a whole chunk at
-# once leaves megabytes of objects behind and slows the caller's next steps
-_SLICE = 1 << 11
+# draws per generator call, turned into Python floats a block at a time:
+# a larger block leaves megabytes of objects behind and slows the caller
+_CHUNK = 1 << 11
 _BATCHES = 20
 # Student t quantile t_{0.975} with _BATCHES - 1 = 19 degrees of freedom,
 # correctly rounded from a 30-digit root of the t distribution function
@@ -60,8 +63,11 @@ class SimConfig:
     ecdf_grid: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.total_arrivals < 1:
-            raise ValueError("total_arrivals must be >= 1")
+        for name, low in (("seed", 0), ("total_arrivals", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "ecdf_grid", tuple(sorted(self.ecdf_grid)))
         if not all(map(math.isfinite, self.ecdf_grid)):
             raise ValueError("ecdf_grid points must be finite, got %r" % (self.ecdf_grid,))
@@ -91,10 +97,9 @@ def _substream(seed, group, index):
 
 
 def _floats(blocks):
-    """Python floats of an endless run of numpy blocks, _SLICE values at a time."""
+    """Python floats of an endless run of numpy blocks."""
     for block in blocks:
-        for i in range(0, len(block), _SLICE):
-            yield from block[i:i + _SLICE].tolist()
+        yield from block.tolist()
 
 
 def _epochs(rng, rate):

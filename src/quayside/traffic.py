@@ -15,7 +15,7 @@ is viable while the cumulative coefficient stays below 1.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import NumericOverflowError
 
@@ -59,12 +59,14 @@ class PriorityScenario:
         object.__setattr__(self, "classes", tuple(self.classes))
 
 
-@dataclass(frozen=True)
-class TrafficReport:
-    discipline: str
+class TrafficReport(NamedTuple):
     sigma: Tuple[float, ...]        # cumulative arrival rates
     rho: Tuple[float, ...]          # cumulative traffic coefficients
-    stationary_flags: Tuple[bool, ...]
+
+    @property
+    def stationary_flags(self):
+        """Per class k, whether rho_k < 1."""
+        return tuple(r < 1.0 for r in self.rho)
 
     @property
     def stationary(self):
@@ -120,9 +122,4 @@ def traffic_coefficients(sc):
         total_rho += term
         sigma.append(total_rate)
         rho.append(total_rho)
-    return TrafficReport(
-        discipline=sc.discipline,
-        sigma=tuple(sigma),
-        rho=tuple(rho),
-        stationary_flags=tuple(r < 1.0 for r in rho),
-    )
+    return TrafficReport(tuple(sigma), tuple(rho))

@@ -9,8 +9,7 @@ inversion could not represent.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .busy_period import BusyPeriodSolution, busy_period_lst
 from .errors import SingularityError, StationarityError
@@ -22,14 +21,11 @@ LIFO = "lifo"
 FIFO = "fifo"
 
 
-@dataclass(frozen=True)
-class WaitEvaluation:
-    discipline: str                 # "lifo" or "fifo"
-    point: float                    # s (transform) or x (cdf)
+class WaitEvaluation(NamedTuple):
+    """w(s) or W(x); the discipline and the point are the caller's arguments."""
     value: float
     stationary: bool                # a * moment1 < 1
-    kind: str = "transform"         # "transform" or "cdf"
-    solver_info: Optional[BusyPeriodSolution] = None
+    solver_info: Optional[BusyPeriodSolution] = None   # the Kendall solve of a LIFO transform
 
 
 def _check_args(a, point, name):
@@ -39,44 +35,38 @@ def _check_args(a, point, name):
         raise ValueError("%s must be positive and finite, got %r" % (name, point))
 
 
-def _lifo(d, a, s):
+# _lifo and _fifo take rho = a * d.moment1(), computed once per public call
+
+
+def _lifo(d, a, rho, s):
     sol = busy_period_lst(d, a, s)
     pi = sol.value
-    return (1.0 - a * d.moment1()) + a * (1.0 - pi) / (s + a - a * pi), sol
+    return (1.0 - rho) + a * (1.0 - pi) / (s + a - a * pi), sol
 
 
-def _fifo(d, a, s):
+def _fifo(d, a, rho, s):
     denom = s - a + a * d.lst(s)
     if abs(denom) < 1e-14:
         raise SingularityError(
             "FIFO transform denominator vanishes at s=%g (a=%g, %s)"
             % (s, a, d.literal())
         )
-    return (1.0 - a * d.moment1()) * s / denom
+    return (1.0 - rho) * s / denom
 
 
 def lifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) + a(1 - pi(s)) / (s + a - a*pi(s))."""
     _check_args(a, s, "s")
-    value, sol = _lifo(d, a, s)
-    return WaitEvaluation(
-        discipline=LIFO,
-        point=s,
-        value=value,
-        stationary=a * d.moment1() < 1.0,
-        solver_info=sol,
-    )
+    rho = a * d.moment1()
+    value, sol = _lifo(d, a, rho, s)
+    return WaitEvaluation(value, rho < 1.0, sol)
 
 
 def fifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) * s / (s - a + a*beta(s))."""
     _check_args(a, s, "s")
-    return WaitEvaluation(
-        discipline=FIFO,
-        point=s,
-        value=_fifo(d, a, s),
-        stationary=a * d.moment1() < 1.0,
-    )
+    rho = a * d.moment1()
+    return WaitEvaluation(_fifo(d, a, rho, s), rho < 1.0)
 
 
 def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
@@ -100,13 +90,7 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
         # at a subnormal x the largest nodes k*ln2/x overflow a double
         if point == math.inf:
             raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
-        w = _lifo(d, a, point)[0] if discipline == LIFO else _fifo(d, a, point)
+        w = _lifo(d, a, rho, point)[0] if discipline == LIFO else _fifo(d, a, rho, point)
         return w / s
 
-    return WaitEvaluation(
-        discipline=discipline,
-        point=x,
-        value=min(max(invert(over_s, x, inv), 0.0), 1.0),
-        stationary=True,
-        kind="cdf",
-    )
+    return WaitEvaluation(min(max(invert(over_s, x, inv), 0.0), 1.0), True)

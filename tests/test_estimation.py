@@ -21,6 +21,10 @@ def test_empirical_moments():
 def test_empirical_moment_order_validated():
     with pytest.raises(ValueError):
         empirical_moment(ObservationSample([1.0]), 0)
+    with pytest.raises(ValueError):
+        empirical_moment(ObservationSample([1.0]), 1.5)
+    # a numpy integer order is an integer
+    assert empirical_moment(ObservationSample([1.0, 2.0]), np.int64(2)) == 2.5
 
 
 def test_huge_sample_gives_finite_estimates():

@@ -1,12 +1,13 @@
-"""The CLI's table and traffic output, pinned byte for byte.
+"""The CLI's table, traffic, transform and CDF output, pinned byte for byte.
 
 The files under tests/data/ hold the output of the commands below.  The
 reproduce and traffic files were written before the Erlang laws were
 merged into one class, the simulate files before the simulator's
-per-class arrival streams became one heapq.merge; a refactor that
-changes any printed digit or literal fails here.  The run of table 4.4.1
-at 2*10^5 arrivals draws a second block of interarrival times for
-class 5.
+per-class arrival streams became one heapq.merge, and the wait and cdf
+files while the result records still carried the point s or x; a
+refactor that changes any printed digit or literal fails here.  The run
+of table 4.4.1 at 2*10^5 arrivals draws about 8*10^4 interarrival times
+for class 5, across many draw blocks.
 """
 
 import io
@@ -31,6 +32,12 @@ SCENARIOS = os.path.join(os.path.dirname(TESTS), "scenarios")
           for name in ("mm1_fifo", "table_4_3_1", "table_4_4_1", "table_4_5_1")),
         (["simulate", "--scenario", os.path.join(SCENARIOS, "table_4_4_1.json"), "--seed", "7",
           "--arrivals", "200000", "--grid", "0,1,3"], "simulate_table_4_4_1_200000.txt"),
+        (["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "1"], "wait_fifo_exp5.txt"),
+        (["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "4", "--s", "1", "--format", "csv"],
+         "wait_lifo_exp5.csv"),
+        (["cdf", "--order", "lifo", "--service", "unif(1,3)", "--rate", "0.3", "--x", "2"], "cdf_lifo_unif13.txt"),
+        (["cdf", "--order", "fifo", "--service", "unif(1,3)", "--rate", "0.3", "--x", "2", "--format", "csv"],
+         "cdf_fifo_unif13.csv"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

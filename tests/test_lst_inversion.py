@@ -46,7 +46,7 @@ def test_linear_ramp():
     assert value == pytest.approx(3.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("order", [3, 5, 22, 0, 2])
+@pytest.mark.parametrize("order", [3, 5, 22, 0, 2, 14.0])
 def test_spec_rejects_bad_orders(order):
     with pytest.raises(ValueError):
         InversionSpec(order=order)
@@ -57,6 +57,15 @@ def test_weights_reject_odd_and_oversized():
         stehfest_weights(7)
     with pytest.raises(ValueError):
         stehfest_weights(22)
+    with pytest.raises(ValueError):
+        stehfest_weights(14.0)
+
+
+def test_numpy_integer_order_is_an_int():
+    # order 20 overflows int64 in the exact weight arithmetic
+    spec = InversionSpec(np.int64(20))
+    assert type(spec.order) is int
+    assert stehfest_weights(np.int64(20)) == stehfest_weights(20)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0])

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -227,3 +229,22 @@ def test_reproduce_rejects_empty_table_list():
     # the CLI cases are in test_cli_usage_errors_exit_1
     with pytest.raises(ValueError, match="no table ids given"):
         reproduce([])
+
+
+def test_cli_module_entry_point():
+    # `python -m quayside.cli`: main() passes run()'s code to sys.exit
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "quayside.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    argv = ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "4", "--s", "1", "--format", "csv"]
+    proc = module_run(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(argv)[1]
+    proc = module_run("cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "6", "--x", "1")
+    assert proc.returncode == 3, proc.stderr
+    proc = module_run("frobnicate")
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quayside
@@ -132,17 +133,18 @@ def test_repeat_single_class_reduces_to_mg1_fifo(discipline):
 
 
 def test_arrival_merge_matches_running_sums():
-    # reference: per-class running sums of the same chunked draws, merged
-    # by (epoch, class); enough arrivals to cross chunk boundaries
+    # reference: per-class running sums of one call's draws, merged by
+    # (epoch, class); enough arrivals to cross block boundaries, so the
+    # block size must leave the epochs unchanged
     rates = (4.0, 0.01, 1.0)
-    n = 150_000
+    n = 200_000
+    assert n > 3 * _CHUNK
     streams = []
     for k, rate in enumerate(rates):
-        rng, t, epochs = _substream(2016, 0, k), 0.0, []
-        for _ in range(3):
-            for v in rng.exponential(1.0 / rate, _CHUNK):
-                t += v
-                epochs.append((t, k))
+        t, epochs = 0.0, []
+        for v in _substream(2016, 0, k).exponential(1.0 / rate, n).tolist():
+            t += v
+            epochs.append((t, k))
         streams.append(epochs)
     want = list(heapq.merge(*streams))[:n]
     gen = _arrivals(2016, rates)
@@ -196,6 +198,13 @@ def test_warmup_default_is_ten_percent():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(seed=1, total_arrivals=0)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=bad, total_arrivals=10)
+    with pytest.raises(ValueError, match="total_arrivals"):
+        SimConfig(seed=1, total_arrivals=100.5)
+    cfg = SimConfig(seed=np.int64(1), total_arrivals=np.uint32(10))
+    assert (type(cfg.seed), type(cfg.total_arrivals)) == (int, int)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             SimConfig(seed=1, total_arrivals=10, ecdf_grid=(0.0, bad))

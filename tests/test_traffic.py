@@ -126,6 +126,14 @@ def test_verdict_first_class_overloaded():
     assert report.first_overloaded_class == 1
 
 
+def test_report_holds_sigma_and_rho_only():
+    report = traffic_coefficients(traffic_scenario("4.3.3"))
+    assert report._fields == ("sigma", "rho")
+    sigma, rho = report  # a named tuple unpacks like a plain one
+    assert report == (sigma, rho)
+    assert report.stationary_flags == (True, True, True, True, False)
+
+
 def test_increments_sum_to_cumulative():
     report = traffic_coefficients(make_exp_scenario("loss"))
     assert sum(report.increments()) == pytest.approx(report.rho[-1], abs=1e-12)

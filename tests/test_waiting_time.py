@@ -45,6 +45,16 @@ def test_stationary_flag():
     assert not fifo_wait_lst(Exponential(9), 16.0, 1.0).stationary  # computed anyway
 
 
+def test_records_hold_what_the_call_computed():
+    ev = lifo_wait_lst(Exponential(10), 12.0, 1.0)
+    assert ev._fields == ("value", "stationary", "solver_info")
+    assert ev.solver_info._fields == ("value", "iterations", "residual")
+    value, stationary, (pi, iterations, residual) = ev  # named tuples unpack like plain ones
+    assert ev == (value, False, (pi, iterations, residual))
+    assert fifo_wait_lst(Exponential(5), 4.0, 1.0)[1:] == (True, None)
+    assert wait_cdf("lifo", Exponential(5), 4.0, 3.0)[1:] == (True, None)
+
+
 def test_fifo_singularity():
     # denominator s - a + a*b/(s+b) vanishes at s = a - b
     with pytest.raises(SingularityError):

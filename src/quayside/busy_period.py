@@ -1,10 +1,16 @@
 """Busy-period transform via the Kendall functional equation.
 
 The busy-period LST pi(s) solves pi = beta(s + a - a*pi) where beta is
-the service-time transform and a the Poisson arrival rate.  The map is
-monotone increasing in pi, so plain iteration from 0 climbs to the least
-fixed point, which is the probabilistically meaningful branch (it stays
-correct even when the queue is overloaded).
+the service-time transform and a the Poisson arrival rate.  The root
+sought is the least one in [0, 1], which is the probabilistically
+meaningful branch (it stays correct even when the queue is overloaded).
+
+beta is completely monotone, so f(pi) = beta(s + a - a*pi) - pi is convex
+on [0, 1], with f(0) > 0 and f(1) < 0 for s > 0.  A secant through two
+points left of the root therefore lands left of it, and never short of
+the plain fixed-point step pi -> beta: safeguarded secant steps climb
+from 0 to the least root like plain iteration does, only faster near
+saturation, where the plain step ratio tends to 1.
 """
 
 import math
@@ -27,29 +33,45 @@ class BusyPeriodSolution(NamedTuple):
 def busy_period_lst(d, a, s):
     """Least fixed point of pi -> lst(d, s + a - a*pi) in [0, 1].
 
-    Raises ConvergenceError (carrying the last iterate and residual) if
-    the residual is still above DEFAULT_TOL after DEFAULT_MAX_ITER steps.
+    Calls d.lst once per step.  Raises ConvergenceError (carrying the
+    last iterate and residual) if no residual within DEFAULT_TOL was seen
+    in DEFAULT_MAX_ITER steps.
     """
     if not 0 < s < math.inf:
         raise ValueError("s must be positive and finite, got %r" % (s,))
     if not 0 < a < math.inf:
         raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
 
-    # beta(s + a - a*nxt), computed for the residual, is the next iterate:
-    # one transform evaluation per step.  nxt <= 1 keeps the argument >= s.
-    pi = 0.0
-    nxt = d.lst(s + a - a * pi)
+    # Each step evaluates beta once, at the iterate nxt; pi is the iterate
+    # before it and f = f(pi).  The secant through (pi, f) and (nxt, g) is
+    # taken only when both points lie left of the root (0 < g < f) and it
+    # lands in [beta, 1]; otherwise the step is the plain one, nxt -> beta.
+    # Every iterate is <= 1, which keeps the transform's argument >= s.
+    # Once the residual is within DEFAULT_TOL, stepping goes on while the
+    # residual still falls, and the iterate with the least residual is
+    # returned: the rounding floor, not the tolerance, ends the solve.
+    pi, f = 0.0, d.lst(s + a)
+    nxt, best = f, None
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        if nxt < pi:
-            # monotone iterates can only stall on floating-point noise
-            nxt = pi
         beta = d.lst(s + a - a * nxt)
-        residual = abs(nxt - beta)
+        g = beta - nxt
+        residual = abs(g)
         if residual <= DEFAULT_TOL:
-            return BusyPeriodSolution(nxt, it, residual)
-        pi, nxt = nxt, beta
+            if best is not None and residual >= best.residual:
+                return best._replace(iterations=it)
+            best = BusyPeriodSolution(nxt, it, residual)
+            if residual == 0.0:
+                return best
+        step = beta
+        if 0.0 < g < f:
+            secant = nxt + g * (nxt - pi) / (f - g)
+            if beta <= secant <= 1.0:
+                step = secant
+        pi, f, nxt = nxt, g, step
+    if best is not None:
+        return best._replace(iterations=DEFAULT_MAX_ITER)
     raise ConvergenceError(
-        "Kendall iteration did not reach tol=%g in %d iterations (residual %g)"
+        "Kendall solve did not reach tol=%g in %d iterations (residual %g)"
         % (DEFAULT_TOL, DEFAULT_MAX_ITER, residual),
         last_value=pi,
         residual=residual,

@@ -14,6 +14,7 @@ sampling mutates only the generator handed in by the caller.
 import functools
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -109,8 +110,9 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 2):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 2:
             raise ValueError("Erlang order k must be an integer >= 2, got %r" % (self.k,))
+        object.__setattr__(self, "k", int(self.k))
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
 

@@ -40,8 +40,9 @@ def _check_args(a, point, name):
 
 def _lifo(d, a, rho, s):
     sol = busy_period_lst(d, a, s)
-    pi = sol.value
-    return (1.0 - rho) + a * (1.0 - pi) / (s + a - a * pi), sol
+    # (s + a) - a*pi cancels when s << a; 1 - pi is exact for pi >= 1/2
+    au = a * (1.0 - sol.value)
+    return (1.0 - rho) + au / (s + au), sol
 
 
 def _fifo(d, a, rho, s):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import quayside.busy_period
-from quayside import ConvergenceError, Exponential, Uniform, busy_period_lst
+from quayside import ConvergenceError, Erlang, Exponential, Uniform, busy_period_lst, lifo_wait_lst
 
 
 def exp_quadratic_root(a, b, s):
@@ -11,6 +11,22 @@ def exp_quadratic_root(a, b, s):
     a*pi^2 - (s+a+b)*pi + b = 0; the busy-period branch is the smaller root."""
     c = s + a + b
     return (c - math.sqrt(c * c - 4 * a * b)) / (2 * a)
+
+
+def stable_quadratic_root(a, b, s):
+    """The same root as 2b / (c + sqrt(c^2 - 4ab)), with c^2 - 4ab written
+    as (a - b)^2 + s(s + 2a + 2b): free of cancellation when s is small and
+    a is close to b."""
+    c = s + a + b
+    return 2 * b / (c + math.sqrt((a - b) ** 2 + s * (s + 2 * a + 2 * b)))
+
+
+def plain_iteration(d, a, s):
+    """The Kendall solve as plain fixed-point iteration from 0, stopped at a residual of 1e-12."""
+    pi = d.lst(s + a)
+    while abs(d.lst(s + a - a * pi) - pi) > 1e-12:
+        pi = d.lst(s + a - a * pi)
+    return pi
 
 
 def test_known_quadratic_case():
@@ -58,6 +74,55 @@ def test_residual_at_returned_value():
     assert abs(sol.value - d.lst(1.0 + 0.2 - 0.2 * sol.value)) <= 1e-12
 
 
+def test_near_saturation_reaches_the_rounding_floor_in_few_steps():
+    # Plain iteration needs thousands of steps here and stops about 1e-10
+    # off.  The floor: residuals near pi = 1 come in steps of 2^-53 and
+    # |f'(pi)| = 0.0064 at the root, so pi is pinned to about 1.7e-14.
+    sol = busy_period_lst(Exponential(1), 0.999, 1e-5)
+    assert abs(sol.value - stable_quadratic_root(0.999, 1.0, 1e-5)) <= 3e-14
+    assert sol.iterations <= 40
+
+
+def _mp_lst(d, z):
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(d, Uniform):
+        lo, hi = mpmath.mpf(d.lo), mpmath.mpf(d.hi)
+        return (mpmath.exp(-z * lo) - mpmath.exp(-z * hi)) / (z * (hi - lo))
+    k = d.k if isinstance(d, Erlang) else 1
+    return (d.rate / (z + d.rate)) ** k
+
+
+def _exact_root(d, a, s):
+    """The least root of beta(s + a - a*pi) = pi in [0, 1], by bisection at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if _mp_lst(d, s + a - a * mid) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("d", [Exponential(1.0), Uniform(1, 3), Erlang(2, 4.0), Erlang(3, 6.0)],
+                         ids=lambda d: d.literal())
+@pytest.mark.parametrize("load", [0.5, 0.9, 0.99, 1.6])
+def test_never_further_from_the_root_than_plain_iteration(d, load):
+    a = load / d.moment1()
+    for s in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
+        root = _exact_root(d, a, s)
+        error = abs(busy_period_lst(d, a, s).value - root)
+        assert error <= abs(plain_iteration(d, a, s) - root), s
+
+
+def test_mm1_lifo_transform_matches_closed_form():
+    # (1 - rho) + a(1 - pi)/(s + a - a*pi) at pi = (10 - sqrt(20))/8, rounded to double
+    assert lifo_wait_lst(Exponential(5), 4.0, 1.0).value == 0.7527864045000421
+
+
 class _CountingLaw:
     """Wraps a law and counts its transform evaluations."""
 
@@ -85,6 +150,21 @@ def test_non_convergence_error_carries_state(monkeypatch):
     assert exc.value.last_value is not None
     assert exc.value.residual > 1e-12
     assert exc.value.iterations == 3
+
+
+def test_step_cap_past_the_tolerance_returns_the_best_iterate(monkeypatch):
+    # a cap that ends the solve while the residual is within 1e-12 but still
+    # falling returns that iterate instead of raising
+    full = busy_period_lst(Exponential(1), 0.999, 1e-5)
+    for cap in range(1, full.iterations + 1):
+        monkeypatch.setattr(quayside.busy_period, "DEFAULT_MAX_ITER", cap)
+        try:
+            sol = busy_period_lst(Exponential(1), 0.999, 1e-5)
+        except ConvergenceError:
+            continue
+        break
+    assert cap < full.iterations
+    assert sol.iterations == cap and sol.residual <= 1e-12
 
 
 @pytest.mark.parametrize("a,s", [

@@ -167,6 +167,8 @@ def test_uniform_sample_support():
         lambda: Erlang(2.5, 2.0),
         lambda: Erlang(2, math.inf),
         lambda: Erlang(True, 2.0),
+        lambda: Erlang(np.int64(1), 2.0),
+        lambda: Erlang(np.float64(2.0), 2.0),
     ],
 )
 def test_invalid_parameters_rejected_at_construction(bad):
@@ -185,6 +187,12 @@ def test_erlang_aliases_and_literals():
     assert repr(Erlang2(4)) == "Erlang(k=2, rate=4)"
     assert [Erlang(k, 0.5).literal() for k in (2, 3, 5)] == ["erlang2(0.5)", "gamma3(0.5)", "erlang5(0.5)"]
     assert parse_distribution("erlang3(6)") == Gamma3(6)
+
+
+def test_erlang_order_accepts_numpy_integers():
+    d = Erlang(np.int64(2), 1.0)
+    assert type(d.k) is int and d == Erlang2(1.0)
+    assert d.literal() == "erlang2(1)"
 
 
 @pytest.mark.parametrize("text", ["exp(-1)", "weibull(2)", "unif(1)", "exp(a)", "exp", "erlang1(2)", "erlang(2)"])

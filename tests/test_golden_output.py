@@ -4,8 +4,11 @@ The files under tests/data/ hold the output of the commands below.  The
 reproduce and traffic files were written before the Erlang laws were
 merged into one class, the simulate files before the simulator's
 per-class arrival streams became one heapq.merge, and the wait and cdf
-files while the result records still carried the point s or x; a
-refactor that changes any printed digit or literal fails here.  The run
+files while the result records still carried the point s or x.  The
+files with LIFO values (reproduce_all, wait_lifo_exp5, cdf_lifo_unif13)
+were rewritten when the Kendall solve began to step down to the rounding
+floor: M/M/1 w(1) is now the closed form rounded to double.  A refactor
+that changes any printed digit or literal fails here.  The run
 of table 4.4.1 at 2*10^5 arrivals draws about 8*10^4 interarrival times
 for class 5, across many draw blocks.
 """

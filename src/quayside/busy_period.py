@@ -51,17 +51,17 @@ def busy_period_lst(d, a, s):
     # residual still falls, and the iterate with the least residual is
     # returned: the rounding floor, not the tolerance, ends the solve.
     pi, f = 0.0, d.lst(s + a)
-    nxt, best = f, None
+    nxt, best, least = f, None, math.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
         beta = d.lst(s + a - a * nxt)
         g = beta - nxt
         residual = abs(g)
         if residual <= DEFAULT_TOL:
-            if best is not None and residual >= best.residual:
-                return best._replace(iterations=it)
-            best = BusyPeriodSolution(nxt, it, residual)
+            if residual >= least:
+                return BusyPeriodSolution(best, it, least)
             if residual == 0.0:
-                return best
+                return BusyPeriodSolution(nxt, it, 0.0)
+            best, least = nxt, residual
         step = beta
         if 0.0 < g < f:
             secant = nxt + g * (nxt - pi) / (f - g)
@@ -69,7 +69,7 @@ def busy_period_lst(d, a, s):
                 step = secant
         pi, f, nxt = nxt, g, step
     if best is not None:
-        return best._replace(iterations=DEFAULT_MAX_ITER)
+        return BusyPeriodSolution(best, DEFAULT_MAX_ITER, least)
     raise ConvergenceError(
         "Kendall solve did not reach tol=%g in %d iterations (residual %g)"
         % (DEFAULT_TOL, DEFAULT_MAX_ITER, residual),

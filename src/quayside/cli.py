@@ -142,9 +142,11 @@ def _cmd_traffic(args, out):
     _emit(rows, ("class", "service", "lambda", "sigma", "rho", "stationary"), args.format, out)
     if report.stationary:
         print("stationary: all classes viable", file=sys.stderr)
-    else:
+    elif report.stationary_prefix:
         print("overloaded from class %d (stationary prefix 1..%d)"
               % (report.first_overloaded_class, report.stationary_prefix), file=sys.stderr)
+    else:
+        print("overloaded from class 1 (no class is viable)", file=sys.stderr)
 
 
 def _cmd_simulate(args, out):

@@ -18,9 +18,8 @@ computed independently (and only where the queue is stationary).
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .distributions import _law_named
 from .errors import StationarityError
@@ -99,21 +98,17 @@ def traffic_scenario(table_id):
     return _scenario(*_table("traffic", table_id))
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     table_id: str
     row: int                  # 1-based class index
     column: str               # "beta1", "sigma" or "rho"
     printed: str              # original decimal-comma string
-    printed_value: float
     recomputed: float
-    delta: float
+    delta: float              # parse_printed(printed) - recomputed
     status: str
 
 
-@dataclass(frozen=True)
-class TableErrata:
-    table_id: str
+class TableErrata(NamedTuple):
     cells: Tuple[CellCheck, ...]
 
     @property
@@ -148,27 +143,15 @@ def _recompute_rows(table_id):
 
 def recompute_table(table_id):
     """Recompute every printed cell of a traffic table and classify it."""
-    cells = tuple(c for _, _, row in _recompute_rows(table_id) for c in row)
-    return TableErrata(table_id=table_id, cells=cells)
+    return TableErrata(tuple(c for _, _, row in _recompute_rows(table_id) for c in row))
 
 
 def _cell(table_id, k, column, printed, recomputed):
-    value = parse_printed(printed)
-    delta = value - recomputed
-    return CellCheck(
-        table_id=table_id,
-        row=k,
-        column=column,
-        printed=printed,
-        printed_value=value,
-        recomputed=recomputed,
-        delta=delta,
-        status=_classify(delta),
-    )
+    delta = parse_printed(printed) - recomputed
+    return CellCheck(table_id, k, column, printed, recomputed, delta, _classify(delta))
 
 
-@dataclass(frozen=True)
-class RenderedTable:
+class RenderedTable(NamedTuple):
     table_id: str
     headers: Tuple[str, ...]
     rows: Tuple[Tuple[str, ...], ...]

@@ -50,6 +50,18 @@ def parse_scenario(text):
     return parse(doc)
 
 
+def _rate(value, field):
+    """A JSON number (an int or a float, not a bool) as a float; an
+    integer too large for a double becomes inf, which the rate checks
+    then refuse as not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("%s must be a number, got %r" % (field, value))
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_priority(doc):
     discipline = doc.get("discipline")
     if discipline not in DISCIPLINES:
@@ -65,7 +77,7 @@ def _parse_priority(doc):
         if extra:
             raise ScenarioError("class %d: unknown keys: %s" % (i, ", ".join(sorted(extra))))
         try:
-            lam = float(cls["lambda"])
+            lam = _rate(cls["lambda"], "lambda")
             service = parse_distribution(cls["service"])
             parsed.append(PriorityClass(lam, service))
         except KeyError as exc:
@@ -77,7 +89,7 @@ def _parse_priority(doc):
 
 def _parse_single(doc):
     try:
-        rate = float(doc["arrival_rate"])
+        rate = _rate(doc["arrival_rate"], "arrival_rate")
         service = parse_distribution(doc["service"])
         order = doc["order"]
     except KeyError as exc:

@@ -36,7 +36,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class SimConfig:
         return self.total_arrivals // 10
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     mean_wait: float
     ci_half_width: float                 # 95% batch-means CI, 20 batches
     ecdf: Tuple[float, ...]              # empirical W(x) on the config grid
@@ -89,7 +88,6 @@ class SimResult:
     idle_at_arrival: float               # fraction of measured arrivals finding idle
     horizon: float
     total_busy_time: float
-    seed: int
 
 
 def _substream(seed, group, index):
@@ -204,16 +202,15 @@ def _simulate(classes, discipline, cfg):
 
     mean, half = _batch_means_ci(waits)
     return SimResult(
-        mean_wait=mean,
-        ci_half_width=half,
-        ecdf=_ecdf(waits, cfg.ecdf_grid),
-        utilization_prefix=tuple(float(v) for v in np.cumsum(busy) / t),
-        completed=tuple(completed),
-        lost=tuple(lost),
-        idle_at_arrival=idle_found / cfg.total_arrivals,
-        horizon=t,
-        total_busy_time=float(np.sum(busy)),
-        seed=cfg.seed,
+        mean,
+        half,
+        _ecdf(waits, cfg.ecdf_grid),
+        tuple(float(v) for v in np.cumsum(busy) / t),
+        tuple(completed),
+        tuple(lost),
+        idle_found / cfg.total_arrivals,
+        t,
+        float(np.sum(busy)),
     )
 
 

@@ -143,6 +143,22 @@ def test_one_transform_evaluation_per_kendall_step(d, a, s):
     assert sol == busy_period_lst(d, a, s)
 
 
+def test_one_record_per_solve(monkeypatch):
+    # the solve keeps its best iterate as floats and builds one record on return
+    built = []
+
+    class Counted(quayside.busy_period.BusyPeriodSolution):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(quayside.busy_period, "BusyPeriodSolution", Counted)
+    for d, a, s in [(Exponential(5), 4.0, 1.0), (Exponential(1), 0.999, 1e-5), (Uniform(1, 3), 0.3, 1e-8)]:
+        built.clear()
+        sol = busy_period_lst(d, a, s)
+        assert built == [tuple(sol)]
+
+
 def test_non_convergence_error_carries_state(monkeypatch):
     monkeypatch.setattr(quayside.busy_period, "DEFAULT_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as exc:

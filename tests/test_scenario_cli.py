@@ -12,6 +12,7 @@ from quayside import (
     Exponential,
     Mg1Scenario,
     PriorityScenario,
+    QuaysideError,
     ScenarioError,
     Uniform,
     fifo_wait_lst,
@@ -19,6 +20,7 @@ from quayside import (
     parse_scenario,
     reproduce,
 )
+from quayside import cli
 from quayside.cli import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,6 +63,24 @@ def test_parse_single_class_scenario():
         ('{"classes":[]}', "discipline"),
         ('{"discipline":"loss","classes":[{"lambda":Infinity,"service":"exp(1)"}]}', "arrival rate must be positive"),
         ('{"arrival_rate":Infinity,"service":"exp(5)","order":"fifo"}', "arrival_rate must be positive"),
+        # rates are JSON numbers: a bool or a string is refused, not converted
+        ('{"discipline":"loss","classes":[{"lambda":true,"service":"exp(1)"}]}',
+         "class 1: lambda must be a number, got True"),
+        ('{"discipline":"loss","classes":[{"lambda":false,"service":"exp(1)"}]}',
+         "class 1: lambda must be a number, got False"),
+        ('{"discipline":"loss","classes":[{"lambda":"4","service":"exp(1)"}]}',
+         "class 1: lambda must be a number, got '4'"),
+        ('{"arrival_rate":true,"service":"exp(5)","order":"fifo"}', "arrival_rate must be a number, got True"),
+        ('{"arrival_rate":false,"service":"exp(5)","order":"fifo"}', "arrival_rate must be a number, got False"),
+        ('{"arrival_rate":"4","service":"exp(5)","order":"fifo"}', "arrival_rate must be a number, got '4'"),
+        # an integer too large for a double is refused as not finite
+        pytest.param('{"arrival_rate":1%s,"service":"exp(5)","order":"fifo"}' % ("0" * 400),
+                     "arrival_rate must be positive and finite, got inf", id="arrival_rate-1e400-int"),
+        pytest.param('{"discipline":"loss","classes":[{"lambda":1%s,"service":"exp(1)"}]}' % ("0" * 400),
+                     "class 1: arrival rate must be positive and finite", id="lambda-1e400-int"),
+        ('{"arrival_rate":4,"service":"exp(5)","order":"sjf"}', "order must be fifo or lifo"),
+        ('{"discipline":"loss","classes":[3]}', "class 1: must be an object"),
+        ('{"discipline":"loss","classes":[{"lambda":1}]}', "class 1: missing field 'service'"),
     ],
 )
 def test_scenario_errors(text, needle):
@@ -116,9 +136,54 @@ def test_cli_usage_errors_exit_1():
         ["invert", "--transform", "one_over_s", "--x", "nan"],
         ["invert", "--transform", "one_over_s", "--x", "inf"],
         ["simulate", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json"), "--grid", "0,nan"],
+        ["traffic", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json")],
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"discipline":"loss","classes":[{"lambda":true,"service":"exp(1)"}]}', "class 1: lambda"),
+    ('{"arrival_rate":"4","service":"exp(5)","order":"fifo"}', "arrival_rate"),
+])
+@pytest.mark.parametrize("command", ["traffic", "simulate"])
+def test_cli_scenario_rate_must_be_a_number(tmp_path, capsys, text, field, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code, out = run_cli([command, "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error: %s must be a number, got " % field)
+
+
+@pytest.mark.parametrize("lams,line", [
+    ((1.0, 2.0), "overloaded from class 1 (no class is viable)"),
+    ((0.5, 2.0), "overloaded from class 2 (stationary prefix 1..1)"),
+])
+def test_cli_traffic_names_the_viable_prefix(tmp_path, capsys, lams, line):
+    classes = ",".join('{"lambda":%r,"service":"exp(1)"}' % lam for lam in lams)
+    path = tmp_path / "scenario.json"
+    path.write_text('{"discipline":"resume","classes":[%s]}' % classes)
+    code, _ = run_cli(["traffic", "--scenario", str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_cli_wait_warns_on_an_overloaded_transform(capsys):
+    code, out = run_cli(["wait", "--order", "lifo", "--service", "exp(9)", "--rate", "16", "--s", "1"])
+    assert code == 0
+    assert out.splitlines()[1].split()[-1] == "false"
+    assert capsys.readouterr().err == "warning: traffic coefficient >= 1; transform value is formal\n"
+
+
+def test_cli_bare_quayside_error_exits_2(monkeypatch, capsys):
+    # a QuaysideError of no more specific type is a numeric failure
+    def fail(args, out):
+        raise QuaysideError("no stationary answer")
+
+    monkeypatch.setitem(cli._COMMANDS, "wait", fail)
+    code, _ = run_cli(["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no stationary answer\n"
 
 
 def test_cli_unknown_table_message_is_unquoted(capsys):

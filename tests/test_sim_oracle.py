@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import os
@@ -55,6 +56,21 @@ def test_determinism_bit_identical():
     p1 = simulate_priority(sc, cfg)
     p2 = simulate_priority(sc, cfg)
     assert p1 == p2
+
+
+def test_result_holds_what_the_run_computed():
+    res = simulate_mg1(*MM1, "fifo", small_cfg(n=10**4, grid=(1.0,)))
+    assert not dataclasses.is_dataclass(res)
+    assert res._fields == ("mean_wait", "ci_half_width", "ecdf", "utilization_prefix", "completed",
+                           "lost", "idle_at_arrival", "horizon", "total_busy_time")
+    assert res == tuple(res)  # a named tuple compares equal to the plain tuple of its values
+
+
+def test_too_few_waits_for_batch_means():
+    # fewer measured waits than batches: the mean alone, with an infinite CI
+    res = simulate_mg1(*MM1, "fifo", SimConfig(seed=1, total_arrivals=19))
+    assert math.isfinite(res.mean_wait)
+    assert res.ci_half_width == math.inf
 
 
 def test_different_seed_different_result():

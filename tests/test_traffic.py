@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from quayside import (
     PriorityScenario,
     Uniform,
     recompute_table,
+    reproduce,
     traffic_coefficients,
 )
-from quayside.reference_tables import ERRATUM, MATCH, traffic_scenario
+from quayside.reference_tables import ERRATUM, MATCH, parse_printed, traffic_scenario
 
 LAMBDAS = [0.3, 0.2, 0.4, 0.5, 0.8]
 EXP_RATES = [7, 3, 4, 2, 5]
@@ -169,6 +171,21 @@ def test_recompute_table_434_beta_column_errata():
     assert 1 in beta_errata
     assert beta_errata[1].printed == "0,67"
     assert beta_errata[1].recomputed == pytest.approx(3 / 7, abs=1e-12)
+
+
+def test_audit_records_hold_what_the_audit_computed():
+    result = recompute_table("4.3.1")
+    (table,), errata = reproduce("4.3.1")
+    for record in (result, result.cells[0], table):
+        assert not dataclasses.is_dataclass(record)
+        assert record == tuple(record)  # named tuples, built once
+    assert result._fields == ("cells",)
+    assert result.cells[0]._fields == ("table_id", "row", "column", "printed", "recomputed", "delta", "status")
+    assert table._fields == ("table_id", "headers", "rows", "annotations")
+    assert list(errata) == list(result.errata)
+    for cell in result.cells:
+        assert cell.table_id == "4.3.1"
+        assert cell.delta == parse_printed(cell.printed) - cell.recomputed
 
 
 def test_recompute_table_unknown_id():

@@ -16,7 +16,7 @@ saturation, where the plain step ratio tends to 1.
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, positive_finite
 
 __all__ = ["BusyPeriodSolution", "busy_period_lst"]
 
@@ -37,11 +37,10 @@ def busy_period_lst(d, a, s):
     last iterate and residual) if no residual within DEFAULT_TOL was seen
     in DEFAULT_MAX_ITER steps.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite, got %r" % (s,))
-    if not 0 < a < math.inf:
-        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
+    return _kendall(d, positive_finite(a, "arrival rate"), positive_finite(s, "s"))
 
+
+def _kendall(d, a, s):  # busy_period_lst for an a and s already checked to be floats in (0, inf)
     # Each step evaluates beta once, at the iterate nxt; pi is the iterate
     # before it and f = f(pi).  The secant through (pi, f) and (nxt, g) is
     # taken only when both points lie left of the root (0 < g < f) and it

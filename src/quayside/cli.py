@@ -239,7 +239,7 @@ def run(argv, out=None):
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         print("error: %s" % exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ScenarioError, ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except StationarityError as exc:

@@ -14,9 +14,10 @@ sampling mutates only the generator handed in by the caller.
 import functools
 import itertools
 import math
-import numbers
 import re
 from dataclasses import dataclass
+
+from .errors import integer, positive_finite, real
 
 __all__ = [
     "Exponential",
@@ -38,8 +39,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
+        positive_finite(self.rate, "rate")
 
     def lst(self, s):
         _check_s(s)
@@ -66,7 +66,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= self.lo < self.hi < math.inf:
+        if not 0 <= real(self.lo, "lo") < real(self.hi, "hi") < math.inf:
             raise ValueError(
                 "uniform bounds must satisfy 0 <= lo < hi < inf, got [%r, %r]" % (self.lo, self.hi)
             )
@@ -110,11 +110,8 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 2:
-            raise ValueError("Erlang order k must be an integer >= 2, got %r" % (self.k,))
-        object.__setattr__(self, "k", int(self.k))
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite, got %r" % (self.rate,))
+        object.__setattr__(self, "k", integer(self.k, "Erlang order k", 2))
+        positive_finite(self.rate, "rate")
 
     def lst(self, s):
         _check_s(s)
@@ -190,6 +187,8 @@ def parse_distribution(text):
     Decimal points only; raises ValueError with the offending literal on
     any syntax or parameter problem.
     """
+    if not isinstance(text, str):
+        raise ValueError("a service law literal must be a string, got %r" % (text,))
     m = _LITERAL_RE.match(text)
     if not m:
         raise ValueError("unknown distribution literal: %r" % (text,))

@@ -1,4 +1,9 @@
-"""Exception types shared across quayside modules."""
+"""Exception types shared across quayside modules, and the rules for the numbers they take."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class QuaysideError(Exception):
@@ -45,3 +50,33 @@ class NumericOverflowError(QuaysideError):
 
 class ScenarioError(QuaysideError):
     """A scenario file failed validation; message names the offending field."""
+
+
+def real(value, name):
+    """`value` as a float, if it is a real number other than a bool (an integer
+    beyond the double range is an infinity); ValueError naming `name` otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            math.isfinite(value)  # refuses a string, which float() would parse
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("%s must be a number, got %r" % (name, value))
+
+
+def positive_finite(value, name):
+    """`value` as a float, if it is a number in (0, inf); ValueError naming `name` otherwise."""
+    if value.__class__ is not float:  # a float needs no second call
+        value = real(value, name)
+    if not 0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    return value
+
+
+def integer(value, name, low):
+    """`value` as an int, if it is an integer >= low other than a bool; ValueError otherwise."""
+    if value.__class__ is bool or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)

@@ -9,9 +9,10 @@ the rate is 1/mean, which is what the service-rate estimator computes
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple
+
+from .errors import integer
 
 __all__ = [
     "ObservationSample",
@@ -38,9 +39,7 @@ class ObservationSample:
 def empirical_moment(sample, k):
     """Empirical moment of order k: mean of X_i^k.  The values are divided
     by the largest one first, so the mean of a finite sample is finite."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError("moment order must be an integer >= 1, got %r" % (k,))
-    k = int(k)  # a numpy integer would turn the powers below into numpy floats
+    k = integer(k, "moment order", 1)  # a numpy integer would turn the powers below into numpy floats
     top = max(sample.values)
     if top == 0:
         return 0.0
@@ -83,4 +82,7 @@ def load_observations(path):
                 values.append(float(text))
             except ValueError:
                 raise ValueError("%s:%d: not a number: %r" % (path, lineno, text))
-    return ObservationSample(values)
+    try:
+        return ObservationSample(values)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

@@ -10,14 +10,13 @@ accumulation loses the low digits.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InversionError
+from .errors import InversionError, integer, positive_finite
 
 __all__ = ["InversionSpec", "invert", "stehfest_weights", "DEFAULT_ORDER"]
 
@@ -36,14 +35,13 @@ class InversionSpec:
 
 
 def _check_order(n, low):
-    """n as a Python int, if it is an even integer in [low, 20].
-
-    A numpy integer would overflow in the exact weight arithmetic.
-    """
+    """n as a Python int (a numpy one overflows the exact weights), if it
+    is an even integer in [low, 20]."""
     # weight formula itself is fine down to n=2; the public range starts at 4
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n % 2 != 0 or not low <= n <= 20:
+    n = integer(n, "order", low)
+    if n % 2 != 0 or n > 20:
         raise ValueError("order must be an even integer in [%d, 20], got %r" % (low, n))
-    return int(n)
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +89,7 @@ def invert(transform, x, spec=InversionSpec()):
     cumulative sum adds the terms one after another, where a pairwise sum
     such as np.sum's would change the last bits.
     """
-    if not 0 < x < math.inf:
-        raise ValueError("inversion point x must be positive and finite, got %r" % (x,))
+    positive_finite(x, "inversion point x")  # x as given: a longdouble keeps its digits
     step = _LN2 / _LONG(x)
     values = [transform(s) for s in np.arange(1, spec.order + 1, dtype=_LONG) * step]
     terms = _weights_long(spec.order) * np.asarray(values, dtype=_LONG)

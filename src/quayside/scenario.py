@@ -1,11 +1,10 @@
 """Scenario-file parsing (JSON) for priority and single-class analyses."""
 
 import json
-import math
 from dataclasses import dataclass
 
 from .distributions import parse_distribution
-from .errors import ScenarioError
+from .errors import ScenarioError, positive_finite, real
 from .traffic import DISCIPLINES, PriorityClass, PriorityScenario
 from .waiting_time import FIFO, LIFO
 
@@ -19,8 +18,7 @@ class Mg1Scenario:
     order: str
 
     def __post_init__(self):
-        if not 0 < self.arrival_rate < math.inf:
-            raise ValueError("arrival_rate must be positive and finite, got %r" % (self.arrival_rate,))
+        positive_finite(self.arrival_rate, "arrival_rate")
         if self.order not in (FIFO, LIFO):
             raise ValueError("order must be fifo or lifo, got %r" % (self.order,))
 
@@ -50,18 +48,6 @@ def parse_scenario(text):
     return parse(doc)
 
 
-def _rate(value, field):
-    """A JSON number (an int or a float, not a bool) as a float; an
-    integer too large for a double becomes inf, which the rate checks
-    then refuse as not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("%s must be a number, got %r" % (field, value))
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _parse_priority(doc):
     discipline = doc.get("discipline")
     if discipline not in DISCIPLINES:
@@ -77,27 +63,20 @@ def _parse_priority(doc):
         if extra:
             raise ScenarioError("class %d: unknown keys: %s" % (i, ", ".join(sorted(extra))))
         try:
-            lam = _rate(cls["lambda"], "lambda")
-            service = parse_distribution(cls["service"])
-            parsed.append(PriorityClass(lam, service))
+            # real() names the JSON field; PriorityClass checks the range
+            parsed.append(PriorityClass(real(cls["lambda"], "lambda"), parse_distribution(cls["service"])))
         except KeyError as exc:
             raise ScenarioError("class %d: missing field %s" % (i, exc))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ScenarioError("class %d: %s" % (i, exc))
     return PriorityScenario(tuple(parsed), discipline)
 
 
 def _parse_single(doc):
     try:
-        rate = _rate(doc["arrival_rate"], "arrival_rate")
-        service = parse_distribution(doc["service"])
-        order = doc["order"]
+        return Mg1Scenario(doc["arrival_rate"], parse_distribution(doc["service"]), doc["order"])
     except KeyError as exc:
         raise ScenarioError("missing field %s" % exc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc))
-    try:
-        return Mg1Scenario(rate, service, order)
     except ValueError as exc:
         raise ScenarioError(str(exc))
 

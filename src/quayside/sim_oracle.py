@@ -32,7 +32,6 @@ interval of their mean comes from 20 batch means over that order.
 
 import heapq
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -40,7 +39,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import StationarityError
+from .errors import StationarityError, integer, positive_finite, real
 from .traffic import REPEAT, RESUME, traffic_coefficients
 from .waiting_time import FIFO, LIFO
 
@@ -63,12 +62,9 @@ class SimConfig:
     ecdf_grid: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name, low in (("seed", 0), ("total_arrivals", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "ecdf_grid", tuple(sorted(self.ecdf_grid)))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
+        object.__setattr__(self, "total_arrivals", integer(self.total_arrivals, "total_arrivals", 1))
+        object.__setattr__(self, "ecdf_grid", tuple(sorted(real(x, "ecdf_grid point") for x in self.ecdf_grid)))
         if not all(map(math.isfinite, self.ecdf_grid)):
             raise ValueError("ecdf_grid points must be finite, got %r" % (self.ecdf_grid,))
 
@@ -218,8 +214,7 @@ def simulate_mg1(d, a, order, cfg):
     """Non-preemptive single-class queue; `order` is "fifo" or "lifo"."""
     if order not in (FIFO, LIFO):
         raise ValueError("order must be fifo or lifo, got %r" % (order,))
-    if not 0 < a < math.inf:
-        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
+    a = positive_finite(a, "arrival rate")
     rho = a * d.moment1()
     if rho >= 1.0:
         raise StationarityError(

@@ -13,11 +13,10 @@ For the top class all three coincide at lambda_1 * beta_11.  The system
 is viable while the cumulative coefficient stays below 1.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .errors import NumericOverflowError
+from .errors import NumericOverflowError, positive_finite
 
 __all__ = [
     "RESUME",
@@ -42,8 +41,7 @@ class PriorityClass:
     service: object         # a law of .distributions
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError("arrival rate must be positive and finite, got %r" % (self.lam,))
+        positive_finite(self.lam, "arrival rate")
 
 
 @dataclass(frozen=True)

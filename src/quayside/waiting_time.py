@@ -11,8 +11,8 @@ inversion could not represent.
 import math
 from typing import NamedTuple, Optional
 
-from .busy_period import BusyPeriodSolution, busy_period_lst
-from .errors import SingularityError, StationarityError
+from .busy_period import BusyPeriodSolution, _kendall
+from .errors import SingularityError, StationarityError, positive_finite
 from .lst_inversion import InversionSpec, invert
 
 __all__ = ["WaitEvaluation", "lifo_wait_lst", "fifo_wait_lst", "wait_cdf"]
@@ -28,18 +28,11 @@ class WaitEvaluation(NamedTuple):
     solver_info: Optional[BusyPeriodSolution] = None   # the Kendall solve of a LIFO transform
 
 
-def _check_args(a, point, name):
-    if not 0 < a < math.inf:
-        raise ValueError("arrival rate must be positive and finite, got %r" % (a,))
-    if not 0 < point < math.inf:
-        raise ValueError("%s must be positive and finite, got %r" % (name, point))
-
-
 # _lifo and _fifo take rho = a * d.moment1(), computed once per public call
 
 
 def _lifo(d, a, rho, s):
-    sol = busy_period_lst(d, a, s)
+    sol = _kendall(d, a, s)
     # (s + a) - a*pi cancels when s << a; 1 - pi is exact for pi >= 1/2
     au = a * (1.0 - sol.value)
     return (1.0 - rho) + au / (s + au), sol
@@ -57,7 +50,7 @@ def _fifo(d, a, rho, s):
 
 def lifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) + a(1 - pi(s)) / (s + a - a*pi(s))."""
-    _check_args(a, s, "s")
+    a, s = positive_finite(a, "arrival rate"), positive_finite(s, "s")
     rho = a * d.moment1()
     value, sol = _lifo(d, a, rho, s)
     return WaitEvaluation(value, rho < 1.0, sol)
@@ -65,7 +58,7 @@ def lifo_wait_lst(d, a, s):
 
 def fifo_wait_lst(d, a, s):
     """w(s) = (1 - a*beta1) * s / (s - a + a*beta(s))."""
-    _check_args(a, s, "s")
+    a, s = positive_finite(a, "arrival rate"), positive_finite(s, "s")
     rho = a * d.moment1()
     return WaitEvaluation(_fifo(d, a, rho, s), rho < 1.0)
 
@@ -79,7 +72,9 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
     """
     if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))
-    _check_args(a, x, "x")
+    a, x = positive_finite(a, "arrival rate"), positive_finite(x, "x")
+    if not isinstance(inv, InversionSpec):
+        raise ValueError("inv must be an InversionSpec, got %r" % (inv,))
     rho = a * d.moment1()
     if rho >= 1.0:
         raise StationarityError(

@@ -81,6 +81,10 @@ def test_parse_single_class_scenario():
         ('{"arrival_rate":4,"service":"exp(5)","order":"sjf"}', "order must be fifo or lifo"),
         ('{"discipline":"loss","classes":[3]}', "class 1: must be an object"),
         ('{"discipline":"loss","classes":[{"lambda":1}]}', "class 1: missing field 'service'"),
+        # a service that is no string is refused naming the field and the value
+        ('{"arrival_rate":4,"service":5,"order":"fifo"}', "service law literal must be a string, got 5"),
+        ('{"discipline":"loss","classes":[{"lambda":1,"service":["exp(1)"]}]}',
+         r"class 1: a service law literal must be a string, got \['exp\(1\)'\]"),
     ],
 )
 def test_scenario_errors(text, needle):
@@ -137,6 +141,8 @@ def test_cli_usage_errors_exit_1():
         ["invert", "--transform", "one_over_s", "--x", "inf"],
         ["simulate", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json"), "--grid", "0,nan"],
         ["traffic", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json")],
+        # the waits of 1e17 arrivals need 711 PiB, beyond any address space
+        ["simulate", "--scenario", os.path.join(SCENARIOS, "mm1_fifo.json"), "--arrivals", "100000000000000000"],
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
@@ -153,6 +159,18 @@ def test_cli_scenario_rate_must_be_a_number(tmp_path, capsys, text, field, comma
     code, out = run_cli([command, "--scenario", str(path)])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err.startswith("error: %s must be a number, got " % field)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1\n-2\n", "observations must be finite and >= 0, got -2.0"),
+    ("# only a comment\n\n", "observation sample must not be empty"),
+])
+def test_cli_estimate_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    code, out = run_cli(["estimate", "--kind", "arrival", "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
 
 
 @pytest.mark.parametrize("lams,line", [

@@ -30,6 +30,10 @@ __all__ = [
 
 
 def _check_s(s):
+    """Refuses s unless it is a number >= 0 (inf included).  s itself is
+    used, not its float: a longdouble Gaver-Stehfest node keeps its digits."""
+    if s.__class__ is not float:  # Kendall and wait_cdf hand in floats
+        real(s, "transform argument s")
     if not s >= 0:
         raise ValueError("transform argument s must be >= 0, got %r" % (s,))
 

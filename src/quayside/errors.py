@@ -2,8 +2,7 @@
 
 import math
 import numbers
-
-import numpy as np
+import sys
 
 
 class QuaysideError(Exception):
@@ -55,7 +54,8 @@ class ScenarioError(QuaysideError):
 def real(value, name):
     """`value` as a float, if it is a real number other than a bool (an integer
     beyond the double range is an infinity); ValueError naming `name` otherwise."""
-    if not isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+    if not isinstance(value, (bool, np.bool_) if np else bool):
         try:
             math.isfinite(value)  # refuses a string, which float() would parse
             return float(value)

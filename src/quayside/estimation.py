@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import integer
+from .errors import integer, real
 
 __all__ = [
     "ObservationSample",
@@ -28,7 +28,10 @@ class ObservationSample:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        values = tuple(self.values)
+        if not {float}.issuperset(map(type, values)):  # a file's floats pay no per-value rule call
+            values = tuple(v if v.__class__ is float else real(v, "observations") for v in values)
+        object.__setattr__(self, "values", values)
         if len(self.values) == 0:
             raise ValueError("observation sample must not be empty")
         for v in self.values:

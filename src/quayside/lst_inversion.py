@@ -67,11 +67,7 @@ def _weights_exact(n):
 
 @lru_cache(maxsize=None)
 def _weights_long(n):
-    weights = np.array(
-        [_LONG(v.numerator) / _LONG(v.denominator) for v in _weights_exact(n)], dtype=_LONG
-    )
-    weights.flags.writeable = False
-    return weights
+    return tuple(_LONG(v.numerator) / _LONG(v.denominator) for v in _weights_exact(n))
 
 
 def stehfest_weights(n):
@@ -85,15 +81,15 @@ def invert(transform, x, spec=InversionSpec()):
     `transform` is called once per node, at s_k = k*ln2/x for k = 1..order
     in that order; each s is a numpy longdouble scalar, so that
     pure-arithmetic transforms keep the extra precision automatically.
-    The weighted sum runs in extended precision, in node order: the
-    cumulative sum adds the terms one after another, where a pairwise sum
-    such as np.sum's would change the last bits.
+    The weighted sum runs in extended precision, one term after another in
+    node order: a pairwise sum such as np.sum's would change the last bits.
     """
     positive_finite(x, "inversion point x")  # x as given: a longdouble keeps its digits
     step = _LN2 / _LONG(x)
-    values = [transform(s) for s in np.arange(1, spec.order + 1, dtype=_LONG) * step]
-    terms = _weights_long(spec.order) * np.asarray(values, dtype=_LONG)
-    result = float(np.cumsum(terms)[-1] * step)
+    total = _LONG(-0.0)  # -0.0 + t is t, also for t = -0.0: the first term's bits
+    for k, weight in enumerate(_weights_long(spec.order), start=1):
+        total += weight * transform(k * step)
+    result = float(total * step)
     if not math.isfinite(result):
         raise InversionError(
             "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, spec.order)

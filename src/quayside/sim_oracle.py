@@ -34,7 +34,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -92,18 +92,12 @@ def _substream(seed, group, index):
 
 def _floats(blocks):
     """Python floats of an endless run of numpy blocks."""
-    for block in blocks:
-        yield from block.tolist()
+    return chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
 def _epochs(rng, rate):
-    """Endless epoch blocks of one Poisson class: running sums of _CHUNK exponential draws."""
-    last = 0.0
-    while True:
-        block = rng.exponential(1.0 / rate, _CHUNK)
-        block[0] += last
-        yield np.cumsum(block, out=block)  # sequential: same bits as a running sum
-        last = block[-1]
+    """Endless epochs of one Poisson class: running sums of its exponential gaps."""
+    return accumulate(_floats(map(rng.exponential, repeat(1.0 / rate), repeat(_CHUNK))))
 
 
 def _arrivals(seed, rates):
@@ -112,7 +106,7 @@ def _arrivals(seed, rates):
     Class k's epochs come from substream (0, k); equal epochs go lower
     class first, by tuple order.
     """
-    return heapq.merge(*(zip(_floats(_epochs(_substream(seed, 0, k), rate)), repeat(k))
+    return heapq.merge(*(zip(_epochs(_substream(seed, 0, k), rate), repeat(k))
                          for k, rate in enumerate(rates)))
 
 
@@ -201,7 +195,7 @@ def _simulate(classes, discipline, cfg):
         mean,
         half,
         _ecdf(waits, cfg.ecdf_grid),
-        tuple(float(v) for v in np.cumsum(busy) / t),
+        tuple(v / t for v in accumulate(busy)),
         tuple(completed),
         tuple(lost),
         idle_found / cfg.total_arrivals,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,26 @@ def test_sample_validation():
         ObservationSample([float("inf")])
     with pytest.raises(ValueError):
         ObservationSample([1.0, float("nan")])
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "4", None, 1j])
+def test_sample_refuses_what_is_no_number(value):
+    with pytest.raises(ValueError, match="observations must be a number, got %s" % re.escape(repr(value))):
+        ObservationSample([1.0, value, 2.0])
+
+
+def test_sample_refuses_an_integer_beyond_the_double_range():
+    with pytest.raises(ValueError, match="observations must be finite and >= 0, got inf"):
+        ObservationSample([1.0, 10**400])
+
+
+def test_accepted_sample_keeps_the_bits_of_float():
+    values = [0.1, 3, np.float64(2.5), np.float32(0.1), np.int64(7), 1e-300, 0.0]
+    got = ObservationSample(values).values
+    assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in values]
+    assert all(type(v) is float for v in got)
+    floats = [0.1, 0.2, 1e308]
+    assert ObservationSample(floats).values == tuple(floats)
 
 
 def test_unbiasedness_battery():

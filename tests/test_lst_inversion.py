@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quayside import (
     Erlang2,
@@ -141,3 +143,14 @@ def test_transform_called_once_per_node_with_longdouble_scalars():
     invert(lambda s: seen.append(s) or 1.0 / s, 2.0, InversionSpec(8))
     assert [type(s) for s in seen] == [np.longdouble] * 8
     assert seen == sorted(seen)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    x=st.floats(1e-3, 1e4),
+    n=st.sampled_from(range(4, 21, 2)),
+    terms=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+)
+def test_sum_runs_in_node_order_on_drawn_rational_transforms(x, n, terms):
+    fn = lambda s: sum(r / (s + p) for p, r in terms)  # in the precision of s
+    assert invert(fn, x, InversionSpec(n)) == _sequential_gaver_stehfest(fn, x, n)

@@ -4,7 +4,9 @@ A rate, a transform point or a CDF point must be a real number in
 (0, inf), an order or a count an integer at or above its floor.  A bool
 or a string is not a number, and an integer beyond the double range is
 not finite.  Each refusal is a ValueError that names the field.  numpy
-scalars are numbers and give the same bits as Python ones.
+scalars are numbers and give the same bits as Python ones; a law's
+transform computes in the precision of its argument, so a numpy longdouble
+s keeps its digits.
 """
 
 import math
@@ -40,6 +42,8 @@ CFG = SimConfig(seed=1, total_arrivals=100)
 NOT_NUMBERS = [True, False, "4", None, 1j]
 BAD_REALS = [math.nan, math.inf, -math.inf, 0, -1, 10**400, -(10**400)]
 BAD_INTEGERS = [math.nan, math.inf, -math.inf, 0, -1, 2.0]
+# a transform argument may be 0 or inf
+BAD_S = [math.nan, -math.inf, -1, -(10**400)]
 
 # name -> (the field its message names, the call with the value in that field, values to refuse)
 ENTRY_POINTS = {
@@ -65,6 +69,9 @@ ENTRY_POINTS = {
     "invert.x": ("inversion point x", lambda v: invert(lambda s: 1.0 / (s + 1.0), v), BAD_REALS),
     "simulate_mg1.a": ("arrival rate", lambda v: simulate_mg1(EXP5, v, "fifo", CFG), BAD_REALS),
     "empirical_moment.k": ("moment order", lambda v: empirical_moment(SAMPLE, v), BAD_INTEGERS),
+    "Exponential.lst.s": ("transform argument s", lambda v: EXP5.lst(v), BAD_S),
+    "Uniform.lst.s": ("transform argument s", lambda v: Uniform(1.0, 3.0).lst(v), BAD_S),
+    "Erlang.lst.s": ("transform argument s", lambda v: Erlang(3, 6.0).lst(v), BAD_S),
 }
 
 CASES = [
@@ -130,6 +137,9 @@ CALLS = {
     "simulate_mg1": lambda real, integer: simulate_mg1(
         Exponential(real(5.0)), real(4.0), "fifo", SimConfig(integer(7), integer(2000), (real(0.5), real(1.0)))),
     "empirical_moment": lambda real, integer: empirical_moment(SAMPLE, integer(3)),
+    "lst": lambda real, integer: tuple(
+        d.lst(real(s)) for d in (EXP5, Uniform(0.0, 3.0), Uniform(1.0, 3.0), Erlang(3, 6.0))
+        for s in (0.0, 1e-9, 0.7, 2.0, math.inf)),
 }
 
 
@@ -145,6 +155,16 @@ def _np_int_where_integral(x):
 def test_numpy_scalars_give_the_same_bits(name, real, integer):
     call = CALLS[name]
     assert _bits(call(real, integer)) == _bits(call(float, int))
+
+
+def test_a_longdouble_s_keeps_its_digits():
+    # lst computes in the precision of its argument, so that a law inverts
+    # to its density from invert's longdouble nodes; rounding each node to
+    # a double would cost three digits at order 20 (8e-6 off here)
+    s = np.longdouble(1) / 3
+    for d in (EXP5, Uniform(0.0, 3.0), Uniform(1.0, 3.0), Erlang(3, 6.0)):
+        assert type(d.lst(s)) is np.longdouble
+    assert abs(invert(Exponential(1.0).lst, 1.0, InversionSpec(20)) - math.exp(-1.0)) < 1e-7
 
 
 @pytest.fixture

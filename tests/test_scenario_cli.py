@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import math
@@ -20,7 +21,7 @@ from quayside import (
     parse_scenario,
     reproduce,
 )
-from quayside import cli
+from quayside import cli, reference_tables
 from quayside.cli import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -306,6 +307,19 @@ def test_reproduce_accepts_comma_separated_ids():
     assert reproduce("4.2.4,4.3.1") == reproduce(["4.2.4", "4.3.1"])
     tables, _ = reproduce("4.2.4")
     assert [t.table_id for t in tables] == ["4.2.4"]
+
+
+def test_reproduce_notes_a_printed_w_that_deviates(monkeypatch):
+    tables = copy.deepcopy(reference_tables.load_tables())
+    row = tables["wait_tables"]["4.1.1"]["rows"][1]
+    assert row["w_printed"] == "0,4405438"
+    row["w_printed"] = "0,4505438"
+    monkeypatch.setattr(reference_tables, "load_tables", lambda: tables)
+    (table,), _ = reproduce("4.1.1")
+    assert table.annotations == (
+        "row 2: w(s) deviates from printed by 0.01",
+        "* printed W(x) column is non-normative (inversion method unknown)",
+    )
 
 
 def test_reproduce_rejects_empty_table_list():

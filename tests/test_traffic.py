@@ -2,8 +2,11 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quayside import (
+    Erlang,
     Erlang2,
     Exponential,
     NumericOverflowError,
@@ -15,6 +18,7 @@ from quayside import (
     traffic_coefficients,
 )
 from quayside.reference_tables import ERRATUM, MATCH, parse_printed, traffic_scenario
+from quayside.traffic import DISCIPLINES
 
 LAMBDAS = [0.3, 0.2, 0.4, 0.5, 0.8]
 EXP_RATES = [7, 3, 4, 2, 5]
@@ -200,3 +204,22 @@ def test_scenario_validation():
         PriorityScenario((PriorityClass(1.0, Exponential(1)),), "sjf")
     with pytest.raises(ValueError):
         PriorityClass(0.0, Exponential(1))
+
+
+_LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.1, 20.0)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(0.0, 5.0), st.floats(0.01, 5.0)),
+    st.builds(Erlang, st.integers(2, 6), st.floats(0.1, 20.0)),
+)
+_CLASSES = st.lists(st.builds(PriorityClass, st.floats(0.01, 2.0), _LAWS), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(classes=_CLASSES)
+def test_cumulative_coefficients_on_drawn_scenarios(classes):
+    reports = [traffic_coefficients(PriorityScenario(classes, disc)) for disc in DISCIPLINES]
+    for report in reports:
+        assert all(a < b for a, b in zip(report.sigma, report.sigma[1:]))
+        assert all(a <= b for a, b in zip(report.rho, report.rho[1:]))
+    # the top class is never interrupted, so its coefficient is the same under all three
+    assert len({report.rho[0] for report in reports}) == 1

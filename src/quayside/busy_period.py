@@ -21,7 +21,7 @@ from .errors import ConvergenceError, positive_finite
 __all__ = ["BusyPeriodSolution", "busy_period_lst"]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10**6
+DEFAULT_MAX_ITER = 100  # over twice the 39 steps a solve took at most (README, "Numerical notes")
 
 
 class BusyPeriodSolution(NamedTuple):

@@ -151,7 +151,7 @@ def _cmd_traffic(args, out):
 
 def _cmd_simulate(args, out):
     sc = load_scenario(args.scenario)
-    grid = tuple(float(v) for v in args.grid.split(",") if v.strip()) if args.grid else ()
+    grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     cfg = SimConfig(seed=args.seed, total_arrivals=args.arrivals, ecdf_grid=grid)
     if isinstance(sc, Mg1Scenario):
         res = simulate_mg1(sc.service, sc.arrival_rate, sc.order, cfg)

@@ -30,12 +30,14 @@ __all__ = [
 
 
 def _check_s(s):
-    """Refuses s unless it is a number >= 0 (inf included).  s itself is
-    used, not its float: a longdouble Gaver-Stehfest node keeps its digits."""
+    """s as the law computes with it, if it is a number >= 0 (inf included): an int as its
+    float, so 10**400 is inf, any other number as given, so a longdouble node keeps its digits."""
     if s.__class__ is not float:  # Kendall and wait_cdf hand in floats
-        real(s, "transform argument s")
+        value = real(s, "transform argument s")
+        s = value if isinstance(s, int) else s
     if not s >= 0:
         raise ValueError("transform argument s must be >= 0, got %r" % (s,))
+    return s
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class Exponential:
         positive_finite(self.rate, "rate")
 
     def lst(self, s):
-        _check_s(s)
+        s = _check_s(s)
         return self.rate / (s + self.rate)
 
     def moment1(self):
@@ -76,18 +78,12 @@ class Uniform:
             )
 
     def lst(self, s):
-        _check_s(s)
-        width = self.hi - self.lo
-        z = s * width
-        if z < 1e-8 and s * self.lo < 1e-8:
-            # 3-term expansion of (e^{-s.lo}-e^{-s.hi})/(s(hi-lo)), valid only
-            # while s.hi is small too; the direct quotient cancels to noise as s -> 0.
-            lo, hi = self.lo, self.hi
-            return 1.0 - s * (lo + hi) / 2.0 + s * s * (lo * lo + lo * hi + hi * hi) / 6.0
-        # exact rearrangement, cancellation-free for every s > 0; at lo = 0
-        # the factor e^{-s.lo} is 1, also at s = inf, where -s*lo is NaN
+        s = _check_s(s)
+        z = s * (self.hi - self.lo)
+        # e^{-s.lo}(1 - e^{-z})/z, free of cancellation for every z > 0; at
+        # lo = 0 the factor e^{-s.lo} is 1, also at s = inf, where -s*lo is NaN
         shift = math.exp(-s * self.lo) if self.lo else 1.0
-        return shift * (-math.expm1(-z)) / z
+        return shift * (-math.expm1(-z)) / z if z else 1.0
 
     def moment1(self):
         return 0.5 * (self.lo + self.hi)
@@ -118,7 +114,7 @@ class Erlang:
         positive_finite(self.rate, "rate")
 
     def lst(self, s):
-        _check_s(s)
+        s = _check_s(s)
         return (self.rate / (s + self.rate)) ** self.k
 
     def moment1(self):

@@ -191,16 +191,17 @@ def _simulate(classes, discipline, cfg):
                     break
 
     mean, half = _batch_means_ci(waits)
+    busy_prefix = list(accumulate(busy))
     return SimResult(
         mean,
         half,
         _ecdf(waits, cfg.ecdf_grid),
-        tuple(v / t for v in accumulate(busy)),
+        tuple(v / t for v in busy_prefix),
         tuple(completed),
         tuple(lost),
         idle_found / cfg.total_arrivals,
         t,
-        float(np.sum(busy)),
+        busy_prefix[-1],
     )
 
 

@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quayside.busy_period
 from quayside import ConvergenceError, Erlang, Exponential, Uniform, busy_period_lst, lifo_wait_lst
+from quayside.busy_period import DEFAULT_MAX_ITER
 
 
 def exp_quadratic_root(a, b, s):
@@ -189,3 +193,34 @@ def test_step_cap_past_the_tolerance_returns_the_best_iterate(monkeypatch):
 def test_bad_arguments(a, s):
     with pytest.raises(ValueError):
         busy_period_lst(Exponential(5), a, s)
+
+
+def test_a_law_returning_nan_fails_at_the_step_cap():
+    # no residual is ever within the tolerance: the solve spends its whole
+    # cap, one transform call per step after the first, and raises
+    counted = _CountingLaw(SimpleNamespace(lst=lambda s: math.nan))
+    with pytest.raises(ConvergenceError) as exc:
+        busy_period_lst(counted, 4.0, 1.0)
+    assert counted.calls == DEFAULT_MAX_ITER + 1
+    assert exc.value.iterations == DEFAULT_MAX_ITER
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_RATES = _log_uniform(1e-3, 1e3)
+_LAWS = st.one_of(
+    st.builds(Exponential, _RATES),
+    st.builds(lambda width, lo_per_width: Uniform(lo_per_width * width, (lo_per_width + 1) * width),
+              _log_uniform(1e-300, 1e3), st.one_of(st.just(0.0), _log_uniform(1e-3, 1e6))),
+    st.builds(Erlang, st.integers(2, 1000), _RATES),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(d=_LAWS, rho=_log_uniform(1e-3, 100.0), s=_log_uniform(1e-300, 1e3))
+def test_the_step_cap_is_twice_what_a_drawn_solve_needs(d, rho, s):
+    sol = busy_period_lst(d, rho / d.moment1(), s)
+    assert sol.residual <= 1e-12
+    assert sol.iterations <= DEFAULT_MAX_ITER // 2

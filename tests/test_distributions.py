@@ -64,6 +64,24 @@ def test_uniform_lst_narrow_law_away_from_zero():
     assert d.lst(30.0) == pytest.approx(math.exp(-30 * (1 + 5e-10)), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [Uniform(0, 1), Uniform(1, 3), Uniform(0.05, 0.2), Uniform(2, 1000),
+                               Uniform(1e-300, 2e-300)], ids=lambda d: d.literal())
+def test_uniform_lst_within_four_roundings_as_s_falls_to_zero(d):
+    # one formula, e^{-s.lo}(1 - e^{-z})/z with z = s(hi - lo), down to z = 1e-320:
+    # exp, expm1, the product and the quotient each round once
+    mpmath = pytest.importorskip("mpmath")
+    assert d.lst(0.0) == 1.0
+    lo, hi = mpmath.mpf(d.lo), mpmath.mpf(d.hi)
+    with mpmath.workdps(50):
+        for i in range(1249):
+            s = 10.0 ** (-320 + i / 4) / (d.hi - d.lo)  # z from 1e-320 to 1e-8
+            if s == math.inf:
+                continue
+            z = mpmath.mpf(s) * (hi - lo)
+            want = mpmath.exp(-mpmath.mpf(s) * lo) * -mpmath.expm1(-z) / z  # expm1 keeps every digit
+            assert abs(d.lst(s) - want) <= 4 * 2.0 ** -53 * want, s
+
+
 @pytest.mark.parametrize(
     "d,expected",
     [

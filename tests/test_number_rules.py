@@ -104,6 +104,13 @@ def test_an_integer_beyond_the_double_range_is_not_finite():
         fifo_wait_lst(EXP5, 4.0, -(10**400))
 
 
+@pytest.mark.parametrize("d", [EXP5, Uniform(1.0, 3.0), Erlang(3, 6.0)], ids=lambda d: d.literal())
+def test_a_transform_takes_an_integer_beyond_the_double_range_as_inf(d):
+    assert d.lst(10**400) == d.lst(math.inf) == 0.0
+    with pytest.raises(ValueError, match="transform argument s must be >= 0, got -inf"):
+        d.lst(-(10**400))
+
+
 def test_wait_cdf_refuses_an_inversion_order_that_is_no_spec():
     with pytest.raises(ValueError, match="inv must be an InversionSpec, got 14"):
         wait_cdf("lifo", EXP5, 4.0, 1.0, inv=14)

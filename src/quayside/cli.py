@@ -9,8 +9,11 @@ import argparse
 import csv
 import sys
 
+# numpy-free modules only: a subcommand that needs lst_inversion or
+# sim_oracle (and so numpy) imports it in its _cmd_ function
 from .distributions import parse_distribution
 from .errors import (
+    DEFAULT_ORDER,
     ConvergenceError,
     InversionError,
     NumericOverflowError,
@@ -20,12 +23,8 @@ from .errors import (
     StationarityError,
 )
 from .estimation import estimate_arrival_rate, estimate_service_rate, load_observations
-from .lst_inversion import DEFAULT_ORDER, InversionSpec, invert
-from .reference_tables import reproduce
 from .scenario import Mg1Scenario, load_scenario
-from .sim_oracle import SimConfig, simulate_mg1, simulate_priority
-from .traffic import traffic_coefficients
-from .waiting_time import FIFO, LIFO, fifo_wait_lst, lifo_wait_lst, wait_cdf
+from .traffic import FIFO, LIFO, traffic_coefficients
 
 __all__ = ["run", "main"]
 
@@ -114,6 +113,8 @@ def _num(v):
 
 
 def _cmd_wait(args, out):
+    from .waiting_time import fifo_wait_lst, lifo_wait_lst
+
     d = parse_distribution(args.service)
     ev = (lifo_wait_lst if args.order == LIFO else fifo_wait_lst)(d, args.rate, args.s)
     if not ev.stationary:
@@ -123,6 +124,9 @@ def _cmd_wait(args, out):
 
 
 def _cmd_cdf(args, out):
+    from .lst_inversion import InversionSpec
+    from .waiting_time import wait_cdf
+
     d = parse_distribution(args.service)
     ev = wait_cdf(args.order, d, args.rate, args.x, InversionSpec(order=args.inv_order))
     _emit([(args.order, _num(args.x), _num(ev.value))],
@@ -150,6 +154,8 @@ def _cmd_traffic(args, out):
 
 
 def _cmd_simulate(args, out):
+    from .sim_oracle import SimConfig, simulate_mg1, simulate_priority
+
     sc = load_scenario(args.scenario)
     grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     cfg = SimConfig(seed=args.seed, total_arrivals=args.arrivals, ecdf_grid=grid)
@@ -191,6 +197,8 @@ _CATALOG = {
 
 
 def _cmd_invert(args, out):
+    from .lst_inversion import InversionSpec, invert
+
     name = args.transform.strip()
     fn = _CATALOG[name] if name in _CATALOG else parse_distribution(name).lst
     value = invert(fn, args.x, InversionSpec(order=args.inv_order))
@@ -198,6 +206,8 @@ def _cmd_invert(args, out):
 
 
 def _cmd_reproduce(args, out):
+    from .reference_tables import reproduce
+
     tables, errata = reproduce(args.tables)
     for table in tables:
         if args.format == "csv":

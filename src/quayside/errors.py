@@ -4,6 +4,10 @@ import math
 import numbers
 import sys
 
+# InversionSpec's Gaver-Stehfest order: defined in this numpy-free module so
+# that the CLI parser can offer it without loading lst_inversion
+DEFAULT_ORDER = 14
+
 
 class QuaysideError(Exception):
     """Base class for all quayside errors."""

@@ -9,6 +9,7 @@ the rate is 1/mean, which is what the service-rate estimator computes
 """
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,6 +22,10 @@ __all__ = [
     "estimate_service_rate",
     "load_observations",
 ]
+
+# characters of an observation file parsed at a time; a 1 MiB block is no
+# faster and raises a cold `estimate`'s peak memory by about 8 MB
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,30 @@ def estimate_service_rate(sample):
 
 
 def load_observations(path):
-    """Read a one-number-per-line observation file."""
+    """Read a one-number-per-line observation file.
+
+    Lines are parsed a block of whole lines at a time; only a block that
+    holds a bad line is walked line by line, to name that line.
+    """
     values = []
+    lines_before = 0
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
+        # _BLOCK characters, then readline() finishes the line they end in
+        for block in iter(lambda: fh.read(_BLOCK) + fh.readline(), ""):
+            if "#" in block:
+                block = re.sub(r"#[^\n]*", "", block)
+            lines = block.split("\n")
             try:
-                values.append(float(text))
+                values.extend(map(float, filter(None, map(str.strip, lines))))
             except ValueError:
-                raise ValueError("%s:%d: not a number: %r" % (path, lineno, text))
+                for lineno, line in enumerate(lines, start=lines_before + 1):
+                    text = line.strip()
+                    if text:
+                        try:
+                            float(text)
+                        except ValueError:
+                            raise ValueError("%s:%d: not a number: %r" % (path, lineno, text)) from None
+            lines_before += len(lines) - 1  # every block but the last ends in a newline
     try:
         return ObservationSample(values)
     except ValueError as exc:

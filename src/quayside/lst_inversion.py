@@ -16,11 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InversionError, integer, positive_finite
+from .errors import DEFAULT_ORDER, InversionError, integer, positive_finite
 
 __all__ = ["InversionSpec", "invert", "stehfest_weights", "DEFAULT_ORDER"]
-
-DEFAULT_ORDER = 14
 
 _LONG = np.longdouble  # 80-bit on linux/x86_64; degrades gracefully elsewhere
 _LN2 = np.log(_LONG(2))

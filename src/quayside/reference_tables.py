@@ -24,8 +24,8 @@ from typing import NamedTuple, Tuple
 from .distributions import _law_named
 from .errors import StationarityError
 from .lst_inversion import InversionSpec
-from .traffic import PriorityClass, PriorityScenario, traffic_coefficients
-from .waiting_time import LIFO, fifo_wait_lst, lifo_wait_lst, wait_cdf
+from .traffic import LIFO, PriorityClass, PriorityScenario, traffic_coefficients
+from .waiting_time import fifo_wait_lst, lifo_wait_lst, wait_cdf
 
 __all__ = [
     "MATCH",

@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 from .distributions import parse_distribution
 from .errors import ScenarioError, positive_finite, real
-from .traffic import DISCIPLINES, PriorityClass, PriorityScenario
-from .waiting_time import FIFO, LIFO
+from .traffic import DISCIPLINES, FIFO, LIFO, PriorityClass, PriorityScenario
 
 __all__ = ["Mg1Scenario", "parse_scenario", "load_scenario"]
 

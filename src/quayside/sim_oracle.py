@@ -40,8 +40,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import StationarityError, integer, positive_finite, real
-from .traffic import REPEAT, RESUME, traffic_coefficients
-from .waiting_time import FIFO, LIFO
+from .traffic import FIFO, LIFO, REPEAT, RESUME, traffic_coefficients
 
 __all__ = ["SimConfig", "SimResult", "simulate_mg1", "simulate_priority"]
 

@@ -11,6 +11,9 @@ Three disciplines are supported for the fate of an interrupted job:
 
 For the top class all three coincide at lambda_1 * beta_11.  The system
 is viable while the cumulative coefficient stays below 1.
+
+FIFO and LIFO, the two orders of a single-class queue, are named here too,
+so that every discipline has one definition that needs no numpy.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,8 @@ from typing import NamedTuple, Tuple
 from .errors import NumericOverflowError, positive_finite
 
 __all__ = [
+    "FIFO",
+    "LIFO",
     "RESUME",
     "LOSS",
     "REPEAT",
@@ -29,6 +34,8 @@ __all__ = [
     "traffic_coefficients",
 ]
 
+FIFO = "fifo"
+LIFO = "lifo"
 RESUME = "resume"
 LOSS = "loss"
 REPEAT = "repeat"

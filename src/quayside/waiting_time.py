@@ -14,11 +14,9 @@ from typing import NamedTuple, Optional
 from .busy_period import BusyPeriodSolution, _kendall
 from .errors import SingularityError, StationarityError, positive_finite
 from .lst_inversion import InversionSpec, invert
+from .traffic import FIFO, LIFO
 
 __all__ = ["WaitEvaluation", "lifo_wait_lst", "fifo_wait_lst", "wait_cdf"]
-
-LIFO = "lifo"
-FIFO = "fifo"
 
 
 class WaitEvaluation(NamedTuple):

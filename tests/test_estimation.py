@@ -11,6 +11,7 @@ from quayside import (
     estimate_service_rate,
     load_observations,
 )
+from quayside import estimation
 
 
 def test_empirical_moments():
@@ -150,3 +151,68 @@ def test_load_observations_bad_line(tmp_path):
     path.write_text("0.1\nnot-a-number\n")
     with pytest.raises(ValueError, match="line 2|:2:"):
         load_observations(path)
+
+
+def _line_loop(path):
+    """The line-at-a-time loader that load_observations replaced: the reference."""
+    values = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ValueError("%s:%d: not a number: %r" % (path, lineno, text))
+    try:
+        return ObservationSample(values)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _outcome(load, path):
+    """The loaded bits, or the error text."""
+    try:
+        return [float.hex(v) for v in load(path).values]
+    except ValueError as exc:
+        return str(exc)
+
+
+_BLOCK = estimation._BLOCK
+# a file of 6-character lines "0.0001".."0.9999" that spans several blocks
+_LONG = "".join("0.%04d\n" % (k % 10**4) for k in range(1, 3 * _BLOCK // 7))
+
+PARSING_CASES = {
+    "whitespace-only lines": b"1\n   \n\t\n2\n \t \n",
+    "other whitespace": "1\x0c\n\t2 \x0b\n  3\xa0\n".encode(),
+    "a line break that is no newline": "1\x0c2\n3\n".encode(),
+    "crlf": b"1\r\n2\r\n# c\r\n3\r\n",
+    "lone cr": b"1\r2\r\r3\r",
+    "mixed newlines": b"1\r\n2\r3\n\r\n4",
+    "comments": b"# header\n1 # trailing\n#\n2#tight\n  # indented\n3 ## twice # more\n",
+    "no final newline": b"1\n2",
+    "underscores and signed zero": b"1_000\n-0.0\n+0.5\n1e-300\n",
+    "nan": b"1\nnan\n",
+    "inf": b"1\ninf\n",
+    "negative": b"1\n-2\n",
+    "two numbers": b"1\n1 2\n3\n",
+    "empty": b"",
+    "comment only": b"# only a comment\n\n",
+    "long": _LONG.encode(),
+    "bad line past the first block": (_LONG + "x\n" + _LONG).encode(),
+    "bad line after a comment past the first block": ("#c\n" * 10 + _LONG + "1 # x\nbad # x\n").encode(),
+    # the first block's _BLOCK characters end inside "123456.5"
+    "line across a block boundary": ("1\n" * ((_BLOCK - 3) // 2) + "123456.5\n4\n").encode(),
+    "bad line across a block boundary": ("1\n" * ((_BLOCK - 3) // 2) + "1234 56.5\n4\n").encode(),
+}
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 1, 5])
+@pytest.mark.parametrize("case", PARSING_CASES)
+def test_load_observations_parses_like_the_line_loop(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(estimation, "_BLOCK", block)
+    path = tmp_path / "obs.txt"
+    path.write_bytes(PARSING_CASES[case])
+    assert _outcome(load_observations, path) == _outcome(_line_loop, path)
+

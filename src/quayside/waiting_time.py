@@ -8,12 +8,11 @@ which absorbs the probability atom at zero that a pointwise density
 inversion could not represent.
 """
 
-import math
 from typing import NamedTuple, Optional
 
 from .busy_period import BusyPeriodSolution, _kendall
 from .errors import SingularityError, StationarityError, positive_finite
-from .lst_inversion import InversionSpec, invert
+from .lst_inversion import InversionSpec, _nodes, _sum_over_s
 from .traffic import FIFO, LIFO
 
 __all__ = ["WaitEvaluation", "lifo_wait_lst", "fifo_wait_lst", "wait_cdf"]
@@ -64,9 +63,10 @@ def fifo_wait_lst(d, a, s):
 def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
     """W(x) by numerical inversion of s -> w(s)/s, clamped to [0, 1].
 
-    w is evaluated at each Gaver-Stehfest node rounded to double, as the
-    public transforms would be; w(s)/s divides by the extended-precision
-    node, and `invert` forms the weighted sum.
+    w is evaluated at each Gaver-Stehfest node correctly rounded to double,
+    as the public transforms would be; the node cancels against the 1/s, so
+    W(x) is the weighted sum of those values, which `_sum_over_s` forms
+    without rounding before the final one.
     """
     if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))
@@ -78,13 +78,9 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
         raise StationarityError(
             "waiting-time CDF undefined: traffic coefficient %.6g >= 1" % rho
         )
-
-    def over_s(s):
-        point = float(s)
-        # at a subnormal x the largest nodes k*ln2/x overflow a double
-        if point == math.inf:
-            raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
-        w = _lifo(d, a, rho, point)[0] if discipline == LIFO else _fifo(d, a, rho, point)
-        return w / s
-
-    return WaitEvaluation(min(max(invert(over_s, x, inv), 0.0), 1.0), True)
+    nodes = _nodes(x, inv.order)
+    if discipline == LIFO:
+        values = [_lifo(d, a, rho, s)[0] for s in nodes]
+    else:
+        values = [_fifo(d, a, rho, s) for s in nodes]
+    return WaitEvaluation(min(max(_sum_over_s(values, x), 0.0), 1.0), True)

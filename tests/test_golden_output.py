@@ -7,8 +7,12 @@ per-class arrival streams became one heapq.merge, and the wait and cdf
 files while the result records still carried the point s or x.  The
 files with LIFO values (reproduce_all, wait_lifo_exp5, cdf_lifo_unif13)
 were rewritten when the Kendall solve began to step down to the rounding
-floor: M/M/1 w(1) is now the closed form rounded to double.  A refactor
-that changes any printed digit or literal fails here.  The run
+floor: M/M/1 w(1) is now the closed form rounded to double.  The two cdf
+files were rewritten again when `wait_cdf` began to round its weighted sum
+once, in place of a running 64-bit sum: each moved by less than 1e-12,
+while both lie 3e-10 (LIFO) and 1.4e-9 (FIFO) from a 60-digit sum of the
+exact transform at exact nodes.  A refactor that changes any printed digit
+or literal fails here.  The run
 of table 4.4.1 at 2*10^5 arrivals draws about 8*10^4 interarrival times
 for class 5, across many draw blocks.
 """

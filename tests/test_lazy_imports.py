@@ -1,5 +1,5 @@
 """`import quayside` loads its names on first use, and the subcommands that
-need no arrays run without numpy."""
+need no arrays run without numpy: only `invert` and `simulate` load it."""
 
 import importlib
 import math
@@ -81,6 +81,42 @@ def test_cold_cdf_imports_what_it_needs():
     discipline, x, w = out.splitlines()[1].split(",")
     assert (discipline, x) == ("fifo", "1.0")
     assert float(w) == pytest.approx(1 - 0.8 * math.exp(-1), abs=1e-6)  # M/M/1: 1 - rho e^{-(b - a) x}
+
+
+# quayside.cli.run(ARGS) in a fresh interpreter; its last line: the exit code and whether numpy was loaded
+_RUN = """
+import sys
+from quayside.cli import run
+code = run(sys.argv[1:])
+print("exit %d, numpy loaded: %s" % (code, "numpy" in sys.modules))
+"""
+
+_MM1 = ["--service", "exp(5)", "--rate", "4"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["wait", "--order", "fifo", *_MM1, "--s", "1"], 0),
+    (["wait", "--order", "lifo", *_MM1, "--s", "1"], 0),
+    (["cdf", "--order", "fifo", *_MM1, "--x", "3"], 0),
+    (["cdf", "--order", "lifo", *_MM1, "--x", "3", "--inv-order", "20"], 0),
+    (["cdf", "--order", "lifo", "--service", "exp(5)", "--rate", "6", "--x", "1"], 3),
+    (["reproduce", "--tables", "all"], 0),
+], ids=["wait-fifo", "wait-lifo", "cdf-fifo", "cdf-lifo", "cdf-overloaded", "reproduce"])
+def test_cold_analytic_calls_leave_numpy_out(argv, code):
+    # only invert's longdouble sum and the simulator need numpy
+    assert _fresh(_RUN, *argv).splitlines()[-1] == "exit %d, numpy loaded: False" % code
+
+
+def test_analytic_modules_leave_numpy_out():
+    code = "import sys, quayside.waiting_time, quayside.reference_tables, quayside.lst_inversion; " \
+           "print('numpy' in sys.modules)"
+    assert _fresh(code) == "False\n"
+
+
+def test_cold_invert_loads_numpy():
+    out = _fresh(_RUN, "invert", "--transform", "one_over_s_plus_1", "--x", "2", "--format", "csv")
+    assert out.splitlines()[1].startswith("one_over_s_plus_1,2.0,")
+    assert out.splitlines()[-1] == "exit 0, numpy loaded: True"
 
 
 @pytest.mark.parametrize("home,names", OLD_NAMES.items())

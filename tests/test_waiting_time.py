@@ -1,12 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quayside import (
     Erlang2,
     Exponential,
     Gamma3,
     InversionSpec,
+    QuaysideError,
     SingularityError,
     StationarityError,
     Uniform,
@@ -155,18 +159,81 @@ NODE_CASES = [
 ]
 
 
+# ln 2 to 60 digits
+LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
+
+
+def _is_exact_cdf(value, transform, d, a, x, order):
+    """Whether `value` is W(x) of the public `transform` in exact arithmetic:
+    the clamped double nearest sum_k (V_k/k) w(s_k) at s_k = float(k*ln2/x).
+    Where that sum lies within the rounding of the weights of a tie between
+    two doubles, either of them is W(x)."""
+    from quayside.lst_inversion import _weights_exact
+
+    terms = [v / k * Fraction(transform(d, a, float(k * LN2 / Fraction(x))).value)
+             for k, v in enumerate(_weights_exact(order), start=1)]
+    exact = sum(terms, Fraction(0))
+    nearest = float(exact)
+    if value == min(max(nearest, 0.0), 1.0):
+        return True
+    other = math.nextafter(nearest, math.inf if Fraction(nearest) < exact else -math.inf)
+    tie = (Fraction(nearest) + Fraction(other)) / 2
+    return value == min(max(other, 0.0), 1.0) and abs(exact - tie) <= 2**-100 * sum(map(abs, terms))
+
+
 @pytest.mark.parametrize("d,a", NODE_CASES)
 @pytest.mark.parametrize(
     "discipline,transform", [("lifo", lifo_wait_lst), ("fifo", fifo_wait_lst)], ids=["lifo", "fifo"]
 )
 def test_cdf_nodes_match_public_transform(d, a, discipline, transform):
-    # wait_cdf evaluates its nodes in one pass; the result must be exactly
-    # the inversion of the public transform evaluated node by node
+    # wait_cdf evaluates its nodes in one pass and rounds its sum once: the
+    # result must be the exact Gaver-Stehfest sum of the public transform at
+    # the correctly rounded nodes, rounded to double
     for order in (4, 14, 18, 20):
-        spec = InversionSpec(order)
         for x in (0.5, 2.5, 10.0):
-            expected = invert(lambda s: transform(d, a, float(s)).value / s, x, spec)
-            assert wait_cdf(discipline, d, a, x, spec).value == min(max(expected, 0.0), 1.0)
+            value = wait_cdf(discipline, d, a, x, InversionSpec(order)).value
+            assert _is_exact_cdf(value, transform, d, a, x, order), (order, x)
+
+
+_LAWS = st.one_of(
+    st.floats(0.5, 20.0).map(Exponential),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.05, 2.0)).map(lambda t: Uniform(t[0], t[0] + t[1])),
+    st.floats(0.5, 20.0).map(Erlang2),
+    st.floats(0.5, 20.0).map(Gamma3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    d=_LAWS,
+    rho=st.floats(0.05, 0.9),
+    x=st.floats(1e-3, 100.0),
+    order=st.sampled_from(range(4, 21, 2)),
+    discipline=st.sampled_from(["lifo", "fifo"]),
+)
+def test_cdf_nodes_match_public_transform_on_drawn_queues(d, rho, x, order, discipline):
+    a = rho / d.moment1()
+    value = wait_cdf(discipline, d, a, x, InversionSpec(order)).value
+    assert _is_exact_cdf(value, lifo_wait_lst if discipline == "lifo" else fifo_wait_lst, d, a, x, order)
+
+
+@pytest.mark.parametrize("order", [14, 20])
+@pytest.mark.parametrize("x", [1e-307, 1e-305, 1e-300, 1e300])
+@pytest.mark.parametrize(
+    "discipline,transform", [("lifo", lifo_wait_lst), ("fifo", fifo_wait_lst)], ids=["lifo", "fifo"]
+)
+def test_cdf_at_extreme_x_agrees_with_the_longdouble_inversion(discipline, transform, x, order):
+    # the nodes reach 1.4e308 at x = 1e-307 and fall to 7e-301 at x = 1e300;
+    # invert's longdouble sum of the public transform raises the same error
+    # or gives W(x) to 1e-5, and W(x) is never NaN
+    d, a, spec = Exponential(5), 4.0, InversionSpec(order)
+    try:
+        want = invert(lambda s: transform(d, a, float(s)).value / s, x, spec)
+    except QuaysideError as exc:
+        with pytest.raises(type(exc)):
+            wait_cdf(discipline, d, a, x, spec)
+    else:
+        assert abs(wait_cdf(discipline, d, a, x, spec).value - min(max(want, 0.0), 1.0)) <= 1e-5
 
 
 class _CountingLaw:

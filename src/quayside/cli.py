@@ -12,16 +12,7 @@ import sys
 # numpy-free modules only: a subcommand that needs lst_inversion or
 # sim_oracle (and so numpy) imports it in its _cmd_ function
 from .distributions import parse_distribution
-from .errors import (
-    DEFAULT_ORDER,
-    ConvergenceError,
-    InversionError,
-    NumericOverflowError,
-    QuaysideError,
-    ScenarioError,
-    SingularityError,
-    StationarityError,
-)
+from .errors import DEFAULT_ORDER, QuaysideError, ScenarioError, StationarityError
 from .estimation import estimate_arrival_rate, estimate_service_rate, load_observations
 from .scenario import Mg1Scenario, load_scenario
 from .traffic import FIFO, LIFO, traffic_coefficients
@@ -255,11 +246,8 @@ def run(argv, out=None):
     except StationarityError as exc:
         print("stationarity refusal: %s" % exc, file=sys.stderr)
         return EXIT_STATIONARITY
-    except (ConvergenceError, SingularityError, InversionError, NumericOverflowError) as exc:
+    except QuaysideError as exc:  # what is left: convergence, singularity, inversion, overflow
         print("numeric failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
-    except QuaysideError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 
 

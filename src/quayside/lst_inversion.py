@@ -10,8 +10,8 @@ to ~1e10 at order 20 and plain double accumulation loses the low digits.
 (80-bit extended on x86), at extended-precision nodes, so it is the one
 part of this module that loads numpy.  The waiting-time CDF needs no
 extended precision: for a transform of the form w(s)/s the node cancels,
-f(x) = sum_k (V_k / k) w(s_k), and `_sum_over_s` forms that sum of exact
-products with math.fsum at nodes correctly rounded to double (`_nodes`).
+f(x) = sum_k (V_k / k) w(s_k), and `_sum_over_s` forms that sum in
+integers and rounds it once, at nodes correctly rounded to double (`_nodes`).
 """
 
 import math
@@ -23,15 +23,9 @@ from .errors import DEFAULT_ORDER, InversionError, integer, positive_finite
 
 __all__ = ["InversionSpec", "invert", "stehfest_weights", "DEFAULT_ORDER"]
 
-# ln 2 to 50 digits, and as the sum of two doubles
+# ln 2 to 50 digits, and floor(ln2 * 2**160)
 _LN2 = Fraction("0.69314718055994530941723212145817656807550013436026")
-_LN2_HI = float(_LN2)
-_LN2_LO = float(_LN2 - Fraction(_LN2_HI))
-
-# Veltkamp's splitter: SPLIT*v - (SPLIT*v - v) is v rounded to its upper 26
-# bits, and v minus that fits in 26 bits too, so that the product of two
-# halves is exact.  SPLIT*v overflows for |v| above about 1.3e300.
-_SPLIT = 134217729.0  # 2**27 + 1
+_LN2_160 = math.floor(_LN2 * 2**160)
 
 
 @dataclass(frozen=True)
@@ -112,51 +106,34 @@ def invert(transform, x, spec=InversionSpec()):
     return result
 
 
-def _split(v):
-    """v as two doubles of at most 26 significant bits each; |v| < 1.3e300."""
-    big = _SPLIT * v
-    hi = big - (big - v)
-    return hi, v - hi
-
-
 def _nodes(x, n):
     """The nodes s_k = k*ln2/x for k = 1..n, each correctly rounded to a double.
 
-    For the mantissa m of x, ln2/m is formed as hi + lo: hi has 48 bits, so
-    k*hi is exact for k < 32, and lo carries the rest to about 2**-100, so
-    that k*hi + k*lo rounds once.  The power of two of x applies last and
-    exactly, so nothing overflows before it; a node below the normal range
-    (x above about 2.6e307) rounds twice.  ValueError if a node overflows.
+    With x = M * 2**(e-53) for an integer M, s_k = k*ln2*2**160/M * 2**(53-e-160).
+    q = floor(ln2*2**160/M) has over 106 bits, so k*q is k*ln2*2**160/M to
+    2**-106 relative, and its conversion to double rounds once.  The power of
+    two applies last and exactly, except below the normal range (x above
+    about 2.6e307), where a node rounds twice.  InversionError if a node
+    overflows a double.
     """
     m, e = math.frexp(x)  # x = m * 2**e, 0.5 <= m < 1
-    q = _LN2_HI / m
-    q1, q2 = _split(q)
-    m1, m2 = _split(m)
-    p = q * m
-    # q*m = p + (((q1*m1 - p) + q1*m2 + q2*m1) + q2*m2) exactly, and ln2_hi - p is
-    # exact, so q + r is ln2/m to about 2**-104
-    r = ((_LN2_HI - p) - (((q1 * m1 - p) + q1 * m2 + q2 * m1) + q2 * m2) + _LN2_LO) / m
-    hi = 33.0 * q  # Veltkamp with 2**5 + 1: q to its upper 48 bits
-    hi -= hi - q
-    lo = (q - hi) + r
-    # below x = 2**-1025 the scale itself overflows, and every node past the first
-    scale = math.ldexp(1.0, -e) if e > -1024 else math.inf
-    nodes = [(k * hi + k * lo) * scale for k in range(1, n + 1)]
-    if nodes[-1] == math.inf:
-        raise ValueError("x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,))
-    return nodes
+    q = _LN2_160 // int(m * 2.0**53)
+    shift = 53 - e - 160
+    try:
+        return [math.ldexp(k * q, shift) for k in range(1, n + 1)]
+    except OverflowError:
+        raise InversionError(
+            "x=%r is too small: its Gaver-Stehfest nodes overflow a double" % (x,)
+        ) from None
 
 
 @lru_cache(maxsize=None)
 def _weights_over_k(n):
-    """V_k/k for k = 1..n as (hi1, hi2, lo): hi1 + hi2 is the double nearest
-    V_k/k, split into 26-bit halves, and lo is the double nearest the rest."""
-    out = []
-    for k, v in enumerate(_weights_exact(n), start=1):
-        c = v / k
-        hi = float(c)
-        out.append((*_split(hi), float(c - Fraction(hi))))
-    return tuple(out)
+    """V_k/k = c_k/D for k = 1..n, with D the lcm of their denominators, as
+    ((c_1, ..., c_n), D * 2**160): the denominator of sum_k c_k * w_k * 2**160."""
+    weights = [v / k for k, v in enumerate(_weights_exact(n), start=1)]
+    d = math.lcm(*(v.denominator for v in weights))
+    return tuple(v.numerator * (d // v.denominator) for v in weights), d << 160
 
 
 def _sum_over_s(values, x):
@@ -164,22 +141,18 @@ def _sum_over_s(values, x):
     w(s_k) at the nodes `_nodes(x, len(values))`.
 
     As s_k = k*ln2/x, the sum sum_k V_k w(s_k)/s_k * ln2/x is
-    sum_k (V_k/k) w(s_k); each product is split into exact double
-    products, and math.fsum rounds their sum once, so the result is as
-    exact as the values it is given.
+    sum_k (V_k/k) w(s_k).  A double w with |w| >= 2**-108 has no bit below
+    2**-160, so w * 2**160 is an integer: the sum is formed exactly in
+    integers and rounded once, ties to even.  A smaller |w| loses its bits
+    below 2**-160, which moves the sum by less than 2**-160 * sum_k |V_k/k|.
     """
-    terms = []
-    for (c1, c2, lo), w in zip(_weights_over_k(len(values)), values):
-        big = _SPLIT * w  # _split(w), inline as it runs once per node
-        w1 = big - (big - w)
-        w2 = w - w1
-        terms += (c1 * w1, c1 * w2, c2 * w1, c2 * w2, lo * w)
+    weights, denom = _weights_over_k(len(values))
+    total = 0
     try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # a partial sum overflows, or inf meets -inf
-        total = math.nan
-    if not math.isfinite(total):
+        for c, w in zip(weights, values):
+            total += c * int(w * 2.0**160)
+        return total / denom
+    except (OverflowError, ValueError):  # w is NaN or infinite, or the sum overflows a double
         raise InversionError(
             "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, len(values))
-        )
-    return total
+        ) from None

@@ -65,8 +65,10 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
 
     w is evaluated at each Gaver-Stehfest node correctly rounded to double,
     as the public transforms would be; the node cancels against the 1/s, so
-    W(x) is the weighted sum of those values, which `_sum_over_s` forms
-    without rounding before the final one.
+    W(x) is the weighted sum of those values, which `_sum_over_s` forms in
+    integers, exactly for values of magnitude 2**-108 and above, and rounds
+    once, ties to even.  InversionError if x is so small that a node
+    overflows a double.
     """
     if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))

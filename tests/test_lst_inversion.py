@@ -112,6 +112,41 @@ def test_non_finite_transform_raises():
         invert(lambda s: float("nan"), 1.0, InversionSpec(order=8))
 
 
+@pytest.mark.parametrize("values", [
+    [0.5] * 7 + [math.nan],
+    [0.5] * 7 + [math.inf],
+    [0.5] * 7 + [-math.inf],
+    # alternating values meet the alternating weights: the sum is about -5.5e311
+    [(-1.0) ** k * 1e300 for k in range(20)],
+], ids=["nan", "inf", "-inf", "sum-overflow"])
+def test_cdf_sum_not_finite_raises(values):
+    from quayside.lst_inversion import _sum_over_s
+
+    with pytest.raises(InversionError, match="not finite at x=1 "):
+        _sum_over_s(values, 1.0)
+
+
+@pytest.mark.parametrize("order", [8, 14, 20])
+def test_cdf_sum_is_exact_down_to_2_to_the_minus_108(order):
+    # w * 2**160 keeps every bit of a double with |w| >= 2**-108, so such
+    # values sum exactly; a smaller w loses its bits below 2**-160, which
+    # moves the sum by less than 2**-160 * sum_k |V_k/k|
+    from fractions import Fraction
+
+    from quayside.lst_inversion import _sum_over_s, _weights_exact
+
+    weights = [v / k for k, v in enumerate(_weights_exact(order), start=1)]
+
+    def exact(values):
+        return sum((v * Fraction(w) for v, w in zip(weights, values)), Fraction(0))
+
+    smallest = [2.0**-108 * (1 + k / 3) for k in range(order)]
+    assert _sum_over_s(smallest, 1.0) == float(exact(smallest))
+    tiny = [1e-40 * (1 + k / 7) for k in range(order)]
+    slack = sum(map(abs, weights)) / 2**160
+    assert float(exact(tiny) - slack) <= _sum_over_s(tiny, 1.0) <= float(exact(tiny) + slack)
+
+
 def test_invalid_x():
     with pytest.raises(ValueError):
         invert(lambda s: 1.0 / s, 0.0)

@@ -121,6 +121,15 @@ def test_cli_fifo_singularity_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["lifo", "fifo"])
+def test_cli_cdf_node_overflow_exit_2(capsys, order):
+    code, out = run_cli(["cdf", "--order", order, "--service", "exp(5)", "--rate", "4", "--x", "1e-308"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "numeric failure: x=1e-308 is too small: its Gaver-Stehfest nodes overflow a double\n"
+    )
+
+
 def test_cli_usage_errors_exit_1():
     for argv in (
         ["wait", "--order", "fifo"],
@@ -133,7 +142,6 @@ def test_cli_usage_errors_exit_1():
         ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
         ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
-        ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "1e-308"],
         ["wait", "--order", "fifo", "--service", "erlang1(5)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(inf)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "lifo", "--service", "unif(0,inf)", "--rate", "4", "--s", "1"],
@@ -202,7 +210,7 @@ def test_cli_bare_quayside_error_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "wait", fail)
     code, _ = run_cli(["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "1"])
     assert code == 2
-    assert capsys.readouterr().err == "error: no stationary answer\n"
+    assert capsys.readouterr().err == "numeric failure: no stationary answer\n"
 
 
 def test_cli_unknown_table_message_is_unquoted(capsys):

@@ -9,6 +9,7 @@ from quayside import (
     Erlang2,
     Exponential,
     Gamma3,
+    InversionError,
     InversionSpec,
     QuaysideError,
     SingularityError,
@@ -163,22 +164,19 @@ NODE_CASES = [
 LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680")
 
 
-def _is_exact_cdf(value, transform, d, a, x, order):
-    """Whether `value` is W(x) of the public `transform` in exact arithmetic:
-    the clamped double nearest sum_k (V_k/k) w(s_k) at s_k = float(k*ln2/x).
-    Where that sum lies within the rounding of the weights of a tie between
-    two doubles, either of them is W(x)."""
+def _exact_cdf(transform, d, a, x, order):
+    """sum_k (V_k/k) w(s_k) of the public `transform` at s_k = float(k*ln2/x),
+    as an exact Fraction."""
     from quayside.lst_inversion import _weights_exact
 
-    terms = [v / k * Fraction(transform(d, a, float(k * LN2 / Fraction(x))).value)
-             for k, v in enumerate(_weights_exact(order), start=1)]
-    exact = sum(terms, Fraction(0))
-    nearest = float(exact)
-    if value == min(max(nearest, 0.0), 1.0):
-        return True
-    other = math.nextafter(nearest, math.inf if Fraction(nearest) < exact else -math.inf)
-    tie = (Fraction(nearest) + Fraction(other)) / 2
-    return value == min(max(other, 0.0), 1.0) and abs(exact - tie) <= 2**-100 * sum(map(abs, terms))
+    return sum((v / k * Fraction(transform(d, a, float(k * LN2 / Fraction(x))).value)
+                for k, v in enumerate(_weights_exact(order), start=1)), Fraction(0))
+
+
+def _is_exact_cdf(value, transform, d, a, x, order):
+    """Whether `value` is W(x) of the public `transform` in exact arithmetic:
+    the clamped double nearest `_exact_cdf`, ties to even."""
+    return value == min(max(float(_exact_cdf(transform, d, a, x, order)), 0.0), 1.0)
 
 
 @pytest.mark.parametrize("d,a", NODE_CASES)
@@ -215,6 +213,14 @@ def test_cdf_nodes_match_public_transform_on_drawn_queues(d, rho, x, order, disc
     a = rho / d.moment1()
     value = wait_cdf(discipline, d, a, x, InversionSpec(order)).value
     assert _is_exact_cdf(value, lifo_wait_lst if discipline == "lifo" else fifo_wait_lst, d, a, x, order)
+
+
+def test_cdf_rounds_an_exact_tie_to_even():
+    d, a, x = Erlang2(9.4), 0.329, 4.6
+    value = wait_cdf("lifo", d, a, x, InversionSpec(8)).value
+    below = math.nextafter(value, 0.0)
+    assert _exact_cdf(lifo_wait_lst, d, a, x, 8) == (Fraction(value) + Fraction(below)) / 2
+    assert value.hex() == "0x1.fffee9495cf06p-1"  # 0.9999916936926361; below ends in 5
 
 
 @pytest.mark.parametrize("order", [14, 20])
@@ -265,7 +271,7 @@ def test_fifo_cdf_one_transform_evaluation_per_node(order):
 def test_cdf_nodes_beyond_double_range_rejected():
     # at a subnormal x the largest nodes k*ln2/x overflow a double
     for discipline in ("lifo", "fifo"):
-        with pytest.raises(ValueError, match="x=1e-308 is too small: its Gaver-Stehfest nodes overflow a double"):
+        with pytest.raises(InversionError, match="x=1e-308 is too small: its Gaver-Stehfest nodes overflow a double"):
             wait_cdf(discipline, Exponential(5), 4.0, 1e-308)
 
 

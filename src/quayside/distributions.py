@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import integer, positive_finite, real
@@ -28,6 +29,8 @@ __all__ = [
     "parse_distribution",
 ]
 
+_MATH_EXPS = math.exp, math.expm1
+
 
 def _check_s(s):
     """s as the law computes with it, if it is a number >= 0 (inf included): an int as its
@@ -38,6 +41,14 @@ def _check_s(s):
     if not s >= 0:
         raise ValueError("transform argument s must be >= 0, got %r" % (s,))
     return s
+
+
+def _exps(s):
+    """exp and expm1 in the precision of s (math's round a longdouble to double)."""
+    np = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
+    if np is not None and isinstance(s, np.floating) and not isinstance(s, float):
+        return np.exp, np.expm1
+    return _MATH_EXPS
 
 
 @dataclass(frozen=True)
@@ -79,11 +90,12 @@ class Uniform:
 
     def lst(self, s):
         s = _check_s(s)
+        exp, expm1 = _MATH_EXPS if s.__class__ is float else _exps(s)
         z = s * (self.hi - self.lo)
         # e^{-s.lo}(1 - e^{-z})/z, free of cancellation for every z > 0; at
         # lo = 0 the factor e^{-s.lo} is 1, also at s = inf, where -s*lo is NaN
-        shift = math.exp(-s * self.lo) if self.lo else 1.0
-        return shift * (-math.expm1(-z)) / z if z else 1.0
+        shift = exp(-s * self.lo) if self.lo else 1.0
+        return shift * (-expm1(-z)) / z if z else 1.0
 
     def moment1(self):
         return 0.5 * (self.lo + self.hi)

@@ -6,12 +6,13 @@ methods would need an analytic continuation we do not have.  Weights are
 computed exactly as rationals, because they alternate with magnitudes up
 to ~1e10 at order 20 and plain double accumulation loses the low digits.
 
-`invert` sums a caller's transform in the widest hardware float available
-(80-bit extended on x86), at extended-precision nodes, so it is the one
-part of this module that loads numpy.  The waiting-time CDF needs no
-extended precision: for a transform of the form w(s)/s the node cancels,
-f(x) = sum_k (V_k / k) w(s_k), and `_sum_over_s` forms that sum in
-integers and rounds it once, at nodes correctly rounded to double (`_nodes`).
+`invert` evaluates a caller's transform at extended-precision nodes, in
+the widest hardware float available (80-bit extended on x86), so it is
+the one part of this module that loads numpy.  The waiting-time CDF needs
+no extended precision: it evaluates w at nodes correctly rounded to
+double (`_nodes`).  Both end in `_sum_over_s`, which forms
+sum_k (V_k / k) w_k in integers and rounds it once: for a transform of
+the form w(s)/s the node cancels, and `invert` hands it s_k f(s_k).
 """
 
 import math
@@ -67,15 +68,6 @@ def _weights_exact(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _weights_long(n):
-    """ln 2 and the weights V_1..V_n as numpy longdoubles."""
-    import numpy as np
-
-    long = np.longdouble  # 80-bit on linux/x86_64; degrades gracefully elsewhere
-    return np.log(long(2)), tuple(long(v.numerator) / long(v.denominator) for v in _weights_exact(n))
-
-
 def stehfest_weights(n):
     """Stehfest weights for even order n <= 20, as floats."""
     return [float(v) for v in _weights_exact(n)]
@@ -87,23 +79,20 @@ def invert(transform, x, spec=InversionSpec()):
     `transform` is called once per node, at s_k = k*ln2/x for k = 1..order
     in that order; each s is a numpy longdouble scalar, so that
     pure-arithmetic transforms keep the extra precision automatically.
-    The weighted sum runs in extended precision, one term after another in
-    node order: a pairwise sum such as np.sum's would change the last bits.
+    The terms t_k = s_k f(s_k) are formed in that precision and scaled by
+    the power of two 2**-e that puts the largest |t_k| in [1/2, 1);
+    `_sum_over_s` rounds 2**e sum_k (V_k/k) t_k once.
     """
     import numpy as np
 
+    if not isinstance(spec, InversionSpec):
+        raise ValueError("spec must be an InversionSpec, got %r" % (spec,))
     positive_finite(x, "inversion point x")  # x as given: a longdouble keeps its digits
-    ln2, weights = _weights_long(spec.order)
-    step = ln2 / np.longdouble(x)
-    total = np.longdouble(-0.0)  # -0.0 + t is t, also for t = -0.0: the first term's bits
-    for k, weight in enumerate(weights, start=1):
-        total += weight * transform(k * step)
-    result = float(total * step)
-    if not math.isfinite(result):
-        raise InversionError(
-            "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, spec.order)
-        )
-    return result
+    step = np.log(np.longdouble(2)) / np.longdouble(x)
+    nodes = (k * step for k in range(1, spec.order + 1))
+    terms = np.array([s * transform(s) for s in nodes], np.longdouble)
+    e = int(np.frexp(np.max(np.abs(terms)))[1])
+    return _sum_over_s(np.ldexp(terms, -e), x, e)
 
 
 def _nodes(x, n):
@@ -136,22 +125,23 @@ def _weights_over_k(n):
     return tuple(v.numerator * (d // v.denominator) for v in weights), d << 160
 
 
-def _sum_over_s(values, x):
-    """Gaver-Stehfest estimate at x of the inverse of w(s)/s, from the values
-    w(s_k) at the nodes `_nodes(x, len(values))`.
+def _sum_over_s(values, x, e=0):
+    """2**e * sum_k (V_k/k) w_k, rounded once, ties to even.  At e = 0 and
+    w_k = w(s_k) at the nodes s_k = k*ln2/x it is the Gaver-Stehfest estimate
+    at x of the inverse of w(s)/s, as V_k w(s_k)/s_k * ln2/x = (V_k/k) w(s_k).
 
-    As s_k = k*ln2/x, the sum sum_k V_k w(s_k)/s_k * ln2/x is
-    sum_k (V_k/k) w(s_k).  A double w with |w| >= 2**-108 has no bit below
-    2**-160, so w * 2**160 is an integer: the sum is formed exactly in
-    integers and rounded once, ties to even.  A smaller |w| loses its bits
-    below 2**-160, which moves the sum by less than 2**-160 * sum_k |V_k/k|.
+    A double w with |w| >= 2**-108, or an 80-bit longdouble one with
+    |w| >= 2**-97, has no bit below 2**-160, so w * 2**160 is an integer and
+    the sum is exact up to its one rounding, in the subnormal range too.  A
+    smaller |w| loses its bits below 2**-160, which moves the sum by less
+    than 2**e * 2**-160 * sum_k |V_k/k|.
     """
     weights, denom = _weights_over_k(len(values))
     total = 0
     try:
         for c, w in zip(weights, values):
             total += c * int(w * 2.0**160)
-        return total / denom
+        return (total << e) / denom if e >= 0 else total / (denom << -e)
     except (OverflowError, ValueError):  # w is NaN or infinite, or the sum overflows a double
         raise InversionError(
             "Gaver-Stehfest sum is not finite at x=%g (order %d)" % (x, len(values))

@@ -65,10 +65,8 @@ def wait_cdf(discipline, d, a, x, inv=InversionSpec()):
 
     w is evaluated at each Gaver-Stehfest node correctly rounded to double,
     as the public transforms would be; the node cancels against the 1/s, so
-    W(x) is the weighted sum of those values, which `_sum_over_s` forms in
-    integers, exactly for values of magnitude 2**-108 and above, and rounds
-    once, ties to even.  InversionError if x is so small that a node
-    overflows a double.
+    W(x) is the weighted sum of those values, rounded once by `_sum_over_s`.
+    InversionError if x is so small that a node overflows a double.
     """
     if discipline not in (LIFO, FIFO):
         raise ValueError("unknown discipline %r" % (discipline,))

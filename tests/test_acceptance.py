@@ -40,6 +40,7 @@ from quayside.reference_tables import (
     recompute_table,
     traffic_scenario,
     wait_table,
+    wait_table_ids,
 )
 from quayside.traffic import PriorityClass, PriorityScenario
 
@@ -156,6 +157,18 @@ def test_criterion_4_errata():
     ]
 
 
+def test_printed_cdf_column_is_a_falling_function_of_the_printed_transform():
+    # why reproduce calls the printed W(x) non-normative: it is a falling
+    # function of the printed w(s) alone, and one value exceeds 1
+    rows = [row for table_id in wait_table_ids() for row in wait_table(table_id)[1]]
+    pairs = sorted({(parse_printed(row["w_printed"]), parse_printed(row["W_printed"])) for row in rows})
+    assert (len(rows), len(pairs)) == (55, 48)
+    # equal w gives equal W, and W falls strictly as w rises
+    assert all(w1 < w2 and big_w1 > big_w2 for (w1, big_w1), (w2, big_w2) in zip(pairs, pairs[1:]))
+    overloaded = wait_table("4.1.4")[1][4]
+    assert (overloaded["w_printed"], overloaded["W_printed"]) == ("0,1111112", "1,3303402")
+
+
 @criterion(5, "inversion accuracy")
 def test_criterion_5_inversion():
     hi = InversionSpec(order=18)
@@ -230,7 +243,7 @@ def test_criterion_7_properties():
         assert sum(_weights_exact(n)) == 0
         w = stehfest_weights(n)
         assert abs(sum(w)) <= 1e-12 * max(abs(v) for v in w)
-        assert invert(lambda s: 1 / s, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert invert(lambda s: 1 / s, 1.0, InversionSpec(n)) == pytest.approx(1.0, abs=1e-8)
 
     # discipline term ordering: (1/sigma)(1-beta(sigma)) <= beta1 <= (1/sigma)(1/beta(sigma)-1)
     for tid in ("4.3.1", "4.3.2", "4.3.3", "4.3.4"):

@@ -152,25 +152,31 @@ def test_invalid_x():
         invert(lambda s: 1.0 / s, 0.0)
 
 
-def _sequential_gaver_stehfest(transform, x, n):
-    """Reference: a longdouble running sum over the nodes, k = 1..n in order."""
+def _exact_gaver_stehfest(transform, x, n):
+    """Reference: the exact sum of (V_k/k) t_k over invert's own terms
+    t_k = s_k f(s_k), formed in longdouble at its nodes, rounded to double."""
+    from fractions import Fraction
+
     from quayside.lst_inversion import _weights_exact
 
-    weights = [np.longdouble(v.numerator) / np.longdouble(v.denominator) for v in _weights_exact(n)]
-    scale = np.log(np.longdouble(2)) / np.longdouble(x)
-    total = np.longdouble(0)
-    for k in range(1, n + 1):
-        fk = transform(np.longdouble(k) * scale)
-        total += weights[k - 1] * np.longdouble(fk)
-    return float(total * scale)
+    step = np.log(np.longdouble(2)) / np.longdouble(x)
+    total = Fraction(0)
+    for k, v in enumerate(_weights_exact(n), start=1):
+        s = k * step
+        total += v / k * Fraction(*np.longdouble(s * transform(s)).as_integer_ratio())
+    return float(total)
 
 
 @pytest.mark.parametrize("n", range(4, 21, 2))
 @pytest.mark.parametrize("x", [0.3, 2.0, 50.0])
-def test_sum_runs_in_node_order(n, x):
-    # a pairwise sum such as np.sum's changes the last bits from order 8 on
+def test_invert_is_the_exact_sum_of_its_terms(n, x):
+    # one rounding, of the whole sum; a power of two in f moves no other bit
     fn = lambda s: 1 / (s + 1)
-    assert invert(fn, x, InversionSpec(n)) == _sequential_gaver_stehfest(fn, x, n)
+    value = invert(fn, x, InversionSpec(n))
+    assert value == _exact_gaver_stehfest(fn, x, n)
+    assert invert(lambda s: 2.0**-600 * fn(s), x, InversionSpec(n)) == 2.0**-600 * value
+    subnormal = lambda s: 2.0**-1023 * fn(s)  # rounding twice would miss at x = 0.3, order 14
+    assert invert(subnormal, x, InversionSpec(n)) == _exact_gaver_stehfest(subnormal, x, n)
 
 
 def test_transform_called_once_per_node_with_longdouble_scalars():
@@ -186,6 +192,6 @@ def test_transform_called_once_per_node_with_longdouble_scalars():
     n=st.sampled_from(range(4, 21, 2)),
     terms=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
 )
-def test_sum_runs_in_node_order_on_drawn_rational_transforms(x, n, terms):
+def test_invert_is_the_exact_sum_of_its_terms_on_drawn_rational_transforms(x, n, terms):
     fn = lambda s: sum(r / (s + p) for p, r in terms)  # in the precision of s
-    assert invert(fn, x, InversionSpec(n)) == _sequential_gaver_stehfest(fn, x, n)
+    assert invert(fn, x, InversionSpec(n)) == _exact_gaver_stehfest(fn, x, n)

@@ -9,7 +9,9 @@ transform computes in the precision of its argument, so a numpy longdouble
 s keeps its digits.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -116,6 +118,11 @@ def test_wait_cdf_refuses_an_inversion_order_that_is_no_spec():
         wait_cdf("lifo", EXP5, 4.0, 1.0, inv=14)
 
 
+def test_invert_refuses_an_inversion_order_that_is_no_spec():
+    with pytest.raises(ValueError, match="spec must be an InversionSpec, got 14"):
+        invert(lambda s: 1.0 / s, 2.0, 14)
+
+
 def _bits(result):
     """float.hex of every number in a result, through tuples and records."""
     if isinstance(result, tuple):
@@ -172,6 +179,11 @@ def test_a_longdouble_s_keeps_its_digits():
     for d in (EXP5, Uniform(0.0, 3.0), Uniform(1.0, 3.0), Erlang(3, 6.0)):
         assert type(d.lst(s)) is np.longdouble
     assert abs(invert(Exponential(1.0).lst, 1.0, InversionSpec(20)) - math.exp(-1.0)) < 1e-7
+    # (e^-s - e^-3s)/2s to 40 digits: exp and expm1 in double would be 1.2e-17 off
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t, value = (Decimal(n) / d for n, d in (s.as_integer_ratio(), Uniform(1.0, 3.0).lst(s).as_integer_ratio()))
+        assert abs(value - ((-t).exp() - (-3 * t).exp()) / (2 * t)) < Decimal("1e-19")
 
 
 @pytest.fixture

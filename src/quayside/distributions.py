@@ -1,10 +1,11 @@
 """Service-time distributions: transforms, moments, CDFs and sampling.
 
-Three law families are supported: exponential (rate b), uniform on
-[lo, hi] and Erlang of integer order k >= 2 (rate b).  ``Erlang2(b)`` and
-``Gamma3(b)`` build the orders 2 and 3 of the source tables; order 3 keeps
-the literal ``gamma3(b)`` because its transform is (b/(s+b))^3.  Each law
-has ``lst(s)`` (the Laplace-Stieltjes transform at real s >= 0),
+Two law families are supported: uniform on [lo, hi] and Erlang of integer
+order k >= 1 (rate b).  ``Exponential(b)``, ``Erlang2(b)`` and ``Gamma3(b)``
+build the orders 1, 2 and 3 of the source tables; orders 1 and 3 keep the
+literals ``exp(b)`` and ``gamma3(b)``, every other order is ``erlang<k>(b)``.
+Each law has ``lst(s)`` (the Laplace-Stieltjes transform at real s >= 0, a
+float for every s but a numpy longdouble, which keeps its digits),
 ``moment1()`` (the mean), ``cdf(x)``, ``sample(rng, size)`` and
 ``literal()`` (the text :func:`parse_distribution` reads back).  Every
 object is immutable after construction and all methods are pure;
@@ -29,52 +30,16 @@ __all__ = [
     "parse_distribution",
 ]
 
-_MATH_EXPS = math.exp, math.expm1
-
 
 def _check_s(s):
-    """s as the law computes with it, if it is a number >= 0 (inf included): an int as its
-    float, so 10**400 is inf, any other number as given, so a longdouble node keeps its digits."""
-    if s.__class__ is not float:  # Kendall and wait_cdf hand in floats
-        value = real(s, "transform argument s")
-        s = value if isinstance(s, int) else s
-    if not s >= 0:
-        raise ValueError("transform argument s must be >= 0, got %r" % (s,))
-    return s
-
-
-def _exps(s):
-    """exp and expm1 in the precision of s (math's round a longdouble to double)."""
-    np = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
-    if np is not None and isinstance(s, np.floating) and not isinstance(s, float):
-        return np.exp, np.expm1
-    return _MATH_EXPS
-
-
-@dataclass(frozen=True)
-class Exponential:
-    rate: float
-
-    def __post_init__(self):
-        positive_finite(self.rate, "rate")
-
-    def lst(self, s):
-        s = _check_s(s)
-        return self.rate / (s + self.rate)
-
-    def moment1(self):
-        return 1.0 / self.rate
-
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
-
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size)
-
-    def literal(self):
-        return "exp(%g)" % self.rate
+    """s as the law computes with it, if it is a number >= 0 (inf included): a numpy longdouble
+    as given, so an inversion node keeps its digits, any other number as its float, so 10**400
+    is inf and a float32 gives the value at its double."""
+    np = sys.modules.get("numpy")  # a longdouble means numpy is loaded
+    value = s if np is not None and isinstance(s, np.longdouble) else real(s, "transform argument s")
+    if not value >= 0:
+        raise ValueError("transform argument s must be >= 0, got %r" % (value,))
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,13 +54,15 @@ class Uniform:
             )
 
     def lst(self, s):
-        s = _check_s(s)
-        exp, expm1 = _MATH_EXPS if s.__class__ is float else _exps(s)
+        if s.__class__ is not float or not s >= 0:  # Kendall and wait_cdf hand in floats >= 0
+            s = _check_s(s)
+        # a longdouble s keeps its digits through numpy's exp and expm1, which math's round to double
+        m = math if s.__class__ is float else sys.modules["numpy"]
         z = s * (self.hi - self.lo)
         # e^{-s.lo}(1 - e^{-z})/z, free of cancellation for every z > 0; at
         # lo = 0 the factor e^{-s.lo} is 1, also at s = inf, where -s*lo is NaN
-        shift = exp(-s * self.lo) if self.lo else 1.0
-        return shift * (-expm1(-z)) / z if z else 1.0
+        shift = m.exp(-s * self.lo) if self.lo else 1.0
+        return shift * (-m.expm1(-z)) / z if z else 1.0
 
     def moment1(self):
         return 0.5 * (self.lo + self.hi)
@@ -107,27 +74,37 @@ class Uniform:
             return 1.0
         return (x - self.lo) / (self.hi - self.lo)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
 
     def literal(self):
         return "unif(%g,%g)" % (self.lo, self.hi)
 
 
+# the Erlang orders whose literal is not erlang<k>: order 3 keeps the source tables' name
+_NAMES = {1: "exp", 3: "gamma3"}
+
+
 @dataclass(frozen=True)
 class Erlang:
-    """Sum of k independent exponentials with common rate: transform (b/(s+b))^k."""
+    """Sum of k >= 1 independent exponentials with common rate b: transform (b/(s+b))^k.
+
+    At k = 1, the exponential, lst skips the power (a pow call per transform)
+    and cdf is -expm1(-bx): within 1.2 ulp, where the Poisson sum is up to 15 ulp off.
+    """
 
     k: int
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", integer(self.k, "Erlang order k", 2))
+        object.__setattr__(self, "k", integer(self.k, "Erlang order k", 1))
         positive_finite(self.rate, "rate")
 
     def lst(self, s):
-        s = _check_s(s)
-        return (self.rate / (s + self.rate)) ** self.k
+        if s.__class__ is not float or not s >= 0:  # Kendall and wait_cdf hand in floats >= 0
+            s = _check_s(s)
+        r = self.rate / (s + self.rate)
+        return r if self.k == 1 else r ** self.k
 
     def moment1(self):
         return self.k / self.rate
@@ -136,6 +113,8 @@ class Erlang:
         bx = self.rate * x
         if bx <= 0:  # x <= 0, or x so small that bx underflows
             return 0.0
+        if self.k == 1:
+            return -math.expm1(-bx)
         if bx == math.inf:
             return 1.0
         log_bx = math.log(bx)
@@ -154,15 +133,17 @@ class Erlang:
                 total += term
         return 1.0 - sum(map(p, range(self.k)))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         """Each variate sums k consecutive exponential draws, so a run of
         variates does not depend on how many are drawn per call."""
-        shape = (self.k,) if size is None else (size, self.k)
-        return rng.exponential(1.0 / self.rate, shape).sum(axis=-1)
+        return rng.exponential(1.0 / self.rate, (size, self.k)).sum(axis=1)
 
     def literal(self):
-        name = "gamma3" if self.k == 3 else "erlang%d" % self.k
-        return "%s(%g)" % (name, self.rate)
+        return "%s(%g)" % (_NAMES.get(self.k) or "erlang%d" % self.k, self.rate)
+
+
+def Exponential(rate):
+    return Erlang(1, rate)
 
 
 def Erlang2(rate):
@@ -173,21 +154,19 @@ def Gamma3(rate):
     return Erlang(3, rate)
 
 
-# literal name -> (law, parameter names in literal and reference-table order)
-_LAWS = {
-    "exp": (Exponential, ("b",)),
-    "unif": (Uniform, ("lo", "hi")),
-    "gamma3": (Gamma3, ("b",)),
-}
+_ORDERS = {name: k for k, name in _NAMES.items()}
 
 
 def _law_named(name):
-    """(law, parameter names) of a literal name: exp, unif, gamma3 or
-    erlang<k>; (None, ()) for any other name."""
+    """(law, parameter names) of a literal name: unif, exp, gamma3 or
+    erlang<k> with k >= 2; (None, ()) for any other name."""
+    if name == "unif":
+        return Uniform, ("lo", "hi")
     m = re.fullmatch(r"erlang([0-9]+)", name)
-    if m:
-        return functools.partial(Erlang, int(m.group(1))), ("b",)
-    return _LAWS.get(name, (None, ()))
+    k = int(m.group(1)) if m else _ORDERS.get(name)
+    if k is None or m and k < 2:  # one literal per law: order 1 is exp(b)
+        return None, ()
+    return functools.partial(Erlang, k), ("b",)
 
 
 _LITERAL_RE = re.compile(r"^\s*([a-z0-9]+)\s*\(\s*([^)]*)\s*\)\s*$")

@@ -82,7 +82,6 @@ class SimResult(NamedTuple):
     lost: Tuple[int, ...]
     idle_at_arrival: float               # fraction of measured arrivals finding idle
     horizon: float
-    total_busy_time: float
 
 
 def _substream(seed, group, index):
@@ -190,17 +189,15 @@ def _simulate(classes, discipline, cfg):
                     break
 
     mean, half = _batch_means_ci(waits)
-    busy_prefix = list(accumulate(busy))
     return SimResult(
         mean,
         half,
         _ecdf(waits, cfg.ecdf_grid),
-        tuple(v / t for v in busy_prefix),
+        tuple(v / t for v in accumulate(busy)),
         tuple(completed),
         tuple(lost),
         idle_found / cfg.total_arrivals,
         t,
-        busy_prefix[-1],
     )
 
 

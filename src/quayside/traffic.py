@@ -88,15 +88,6 @@ class TrafficReport(NamedTuple):
         """1-based index of the first class with rho >= 1, or None."""
         return None if self.stationary else self.stationary_prefix + 1
 
-    def increments(self):
-        """Per-class contributions, derived from the cumulative values."""
-        prev = 0.0
-        out = []
-        for r in self.rho:
-            out.append(r - prev)
-            prev = r
-        return tuple(out)
-
 
 def _class_term(cls, discipline, sigma_prev, index):
     """Expected server time consumed per unit time by class `index` (1-based)."""

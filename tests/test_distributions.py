@@ -1,8 +1,11 @@
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quayside import Erlang, Erlang2, Exponential, Gamma3, Uniform, parse_distribution
 
@@ -181,11 +184,11 @@ def test_uniform_sample_support():
         lambda: Erlang2(math.inf),
         lambda: Gamma3(math.inf),
         lambda: Uniform(0, math.inf),
-        lambda: Erlang(1, 2.0),
+        lambda: Erlang(0, 2.0),
         lambda: Erlang(2.5, 2.0),
         lambda: Erlang(2, math.inf),
         lambda: Erlang(True, 2.0),
-        lambda: Erlang(np.int64(1), 2.0),
+        lambda: Erlang(np.int64(0), 2.0),
         lambda: Erlang(np.float64(2.0), 2.0),
     ],
 )
@@ -217,3 +220,34 @@ def test_erlang_order_accepts_numpy_integers():
 def test_bad_literals(text):
     with pytest.raises(ValueError):
         parse_distribution(text)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    b=st.floats(1e-300, 1e300).map(lambda b: float("%g" % b)),  # rates that exp(%g) spells exactly
+    s=st.floats(0.0, math.inf),
+    x=st.floats(0.0, math.inf),
+    seed=st.integers(0, 2**32),
+    n=st.integers(0, 40),
+)
+def test_the_exponential_is_erlang_of_order_one(b, s, x, seed, n):
+    d = Exponential(b)
+    assert d == Erlang(1, b) and repr(d) == "Erlang(k=1, rate=%r)" % b
+    assert d.lst(s) == b / (s + b)
+    assert d.cdf(x) == -math.expm1(-b * x)
+    assert d.moment1() == 1 / b
+    assert d.literal() == "exp(%g)" % b and parse_distribution(d.literal()) == d
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(d.sample(rng, n), rng2.exponential(1 / b, n))
+
+
+@pytest.mark.parametrize("d", ALL + [Uniform(0, 3), Exponential(1e300)], ids=lambda d: d.literal())
+def test_other_numbers_give_the_transform_at_their_double(d):
+    # only a longdouble s keeps its type: a float32 or float16 s is not a
+    # float32 computation (Exponential(1e300) gave nan at float32 0.5), and
+    # a Decimal one is not a TypeError from Decimal arithmetic
+    for s in (np.float32(0.7), np.float32(0.5), np.float32(0), np.float32(np.inf), np.float16(0.7),
+              Decimal("0.7"), Decimal("1e-30")):
+        got = d.lst(s)
+        assert type(got) is float and got.hex() == d.lst(float(s)).hex(), s
+    assert Exponential(1e300).lst(np.float32(0.5)) == 1.0

@@ -140,11 +140,6 @@ def test_report_holds_sigma_and_rho_only():
     assert report.stationary_flags == (True, True, True, True, False)
 
 
-def test_increments_sum_to_cumulative():
-    report = traffic_coefficients(make_exp_scenario("loss"))
-    assert sum(report.increments()) == pytest.approx(report.rho[-1], abs=1e-12)
-
-
 def test_repeat_underflow_raises():
     sc = PriorityScenario(
         (PriorityClass(400.0, Exponential(1)), PriorityClass(1.0, Uniform(2, 3))),

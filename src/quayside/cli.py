@@ -1,16 +1,14 @@
 """Command-line interface.
 
-Subcommands: wait, cdf, traffic, simulate, estimate, invert, reproduce.
 Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 3 stationarity refusal.  Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
-import csv
 import sys
 
-# numpy-free modules only: a subcommand that needs lst_inversion or
-# sim_oracle (and so numpy) imports it in its _cmd_ function
+# a module that only some subcommands run, and whose imports cost time (fractions,
+# numpy, the reference tables), is imported in its _cmd_ function
 from .distributions import parse_distribution
 from .errors import DEFAULT_ORDER, QuaysideError, ScenarioError, StationarityError
 from .estimation import estimate_arrival_rate, estimate_service_rate, load_observations
@@ -34,60 +32,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser():
-    p = _Parser(prog="quayside", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_format(sp):
-        sp.add_argument("--format", choices=("text", "csv"), default="text")
-
-    sp = sub.add_parser("wait", help="waiting-time transform w(s)")
-    sp.add_argument("--order", choices=(FIFO, LIFO), required=True)
-    sp.add_argument("--service", required=True, help="exp(b), unif(lo,hi), erlang<k>(b) for k >= 2, gamma3(b)")
-    sp.add_argument("--rate", type=float, required=True, help="Poisson arrival rate")
-    sp.add_argument("--s", type=float, required=True, help="transform argument")
-    add_format(sp)
-
-    sp = sub.add_parser("cdf", help="waiting-time distribution W(x)")
-    sp.add_argument("--order", choices=(FIFO, LIFO), required=True)
-    sp.add_argument("--service", required=True)
-    sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--inv-order", type=int, default=DEFAULT_ORDER, help="Gaver-Stehfest order")
-    add_format(sp)
-
-    sp = sub.add_parser("traffic", help="cumulative traffic coefficients")
-    sp.add_argument("--scenario", required=True, help="scenario JSON file")
-    add_format(sp)
-
-    sp = sub.add_parser("simulate", help="discrete-event simulation oracle")
-    sp.add_argument("--scenario", required=True)
-    sp.add_argument("--arrivals", type=int, default=10**5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid", default="", help="comma-separated x values for the wait ECDF")
-    add_format(sp)
-
-    sp = sub.add_parser("estimate", help="method-of-moments parameter estimation")
-    sp.add_argument("--kind", choices=("arrival", "service"), required=True)
-    sp.add_argument("--file", required=True, help="one observation per line, # comments allowed")
-    add_format(sp)
-
-    sp = sub.add_parser("invert", help="numerically invert a catalog transform")
-    sp.add_argument("--transform", required=True,
-                    help="one_over_s, one_over_s_plus_1, or a distribution literal")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--inv-order", type=int, default=DEFAULT_ORDER)
-    add_format(sp)
-
-    sp = sub.add_parser("reproduce", help="recompute the source tables and report errata")
-    sp.add_argument("--tables", default="all", help="all, wait, traffic, or comma-separated ids")
-    add_format(sp)
-    return p
-
-
 def _emit(rows, header, fmt, out):
     """rows: list of tuples of strings."""
     if fmt == "csv":
+        import csv  # a text call skips its import
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -216,15 +165,51 @@ def _cmd_reproduce(args, out):
                   % (cell.table_id, cell.row, cell.column, cell.printed, cell.recomputed))
 
 
-_COMMANDS = {
-    "wait": _cmd_wait,
-    "cdf": _cmd_cdf,
-    "traffic": _cmd_traffic,
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "invert": _cmd_invert,
-    "reproduce": _cmd_reproduce,
-}
+def _build_parser():
+    # one parent parser per option group that several subcommands read
+    queue = argparse.ArgumentParser(add_help=False)
+    queue.add_argument("--order", choices=(FIFO, LIFO), required=True)
+    queue.add_argument("--service", required=True, help="exp(b), unif(lo,hi), erlang<k>(b) for k >= 2, gamma3(b)")
+    queue.add_argument("--rate", type=float, required=True, help="Poisson arrival rate")
+    inversion = argparse.ArgumentParser(add_help=False)
+    inversion.add_argument("--inv-order", type=int, default=DEFAULT_ORDER, help="Gaver-Stehfest order")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True, help="scenario JSON file")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "csv"), default="text")
+
+    p = _Parser(prog="quayside", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, summary, *parents):
+        sp = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("wait", _cmd_wait, "waiting-time transform w(s)", queue)
+    sp.add_argument("--s", type=float, required=True, help="transform argument")
+
+    sp = command("cdf", _cmd_cdf, "waiting-time distribution W(x)", queue, inversion)
+    sp.add_argument("--x", type=float, required=True)
+
+    command("traffic", _cmd_traffic, "cumulative traffic coefficients", scenario)
+
+    sp = command("simulate", _cmd_simulate, "discrete-event simulation oracle", scenario)
+    sp.add_argument("--arrivals", type=int, default=10**5)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--grid", default="", help="comma-separated x values for the wait ECDF")
+
+    sp = command("estimate", _cmd_estimate, "method-of-moments parameter estimation")
+    sp.add_argument("--kind", choices=tuple(_ESTIMATORS), required=True)
+    sp.add_argument("--file", required=True, help="one observation per line, # comments allowed")
+
+    sp = command("invert", _cmd_invert, "numerically invert a catalog transform", inversion)
+    sp.add_argument("--transform", required=True, help="%s, or a distribution literal" % ", ".join(_CATALOG))
+    sp.add_argument("--x", type=float, required=True)
+
+    sp = command("reproduce", _cmd_reproduce, "recompute the source tables and report errata")
+    sp.add_argument("--tables", default="all", help="all, wait, traffic, or comma-separated ids")
+    return p
 
 
 def run(argv, out=None):
@@ -232,7 +217,7 @@ def run(argv, out=None):
     out = out or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        _COMMANDS[args.command](args, out)
+        args.handler(args, out)
         return EXIT_OK
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import integer, positive_finite, real
+from .errors import integer, positive_finite, real, store_double
 
 __all__ = [
     "Exponential",
@@ -48,10 +48,13 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= real(self.lo, "lo") < real(self.hi, "hi") < math.inf:
+        lo, hi = real(self.lo, "lo"), real(self.hi, "hi")
+        if not 0 <= lo < hi < math.inf:
             raise ValueError(
                 "uniform bounds must satisfy 0 <= lo < hi < inf, got [%r, %r]" % (self.lo, self.hi)
             )
+        store_double(self, "lo", lo)
+        store_double(self, "hi", hi)
 
     def lst(self, s):
         if s.__class__ is not float or not s >= 0:  # Kendall and wait_cdf hand in floats >= 0
@@ -98,7 +101,7 @@ class Erlang:
 
     def __post_init__(self):
         object.__setattr__(self, "k", integer(self.k, "Erlang order k", 1))
-        positive_finite(self.rate, "rate")
+        store_double(self, "rate", positive_finite(self.rate, "rate"))
 
     def lst(self, s):
         if s.__class__ is not float or not s >= 0:  # Kendall and wait_cdf hand in floats >= 0

@@ -4,8 +4,8 @@ import math
 import numbers
 import sys
 
-# InversionSpec's Gaver-Stehfest order: defined in this numpy-free module so
-# that the CLI parser can offer it without loading lst_inversion
+# InversionSpec's Gaver-Stehfest order, defined here so that the CLI parser can
+# offer it without importing lst_inversion and its `fractions` (about 3 ms)
 DEFAULT_ORDER = 14
 
 
@@ -77,6 +77,14 @@ def positive_finite(value, name):
     if not 0 < value < math.inf:
         raise ValueError("%s must be positive and finite, got %r" % (name, value))
     return value
+
+
+def store_double(obj, name, value):
+    """Set field `name` of the frozen dataclass `obj` to `value`, the float real or positive_finite
+    made of it, unless the field holds a Python int: that keeps its repr (`Erlang(k=2, rate=4)`)
+    and computes as its double, where a float32 or a Decimal computes in its own type."""
+    if getattr(obj, name).__class__ is not int:
+        object.__setattr__(obj, name, value)
 
 
 def integer(value, name, low):

@@ -1,6 +1,5 @@
 """Scenario-file parsing (JSON) for priority and single-class analyses."""
 
-import json
 from dataclasses import dataclass
 
 from .distributions import parse_distribution
@@ -28,6 +27,8 @@ def parse_scenario(text):
     Priority form:     {"discipline": ..., "classes": [{"lambda", "service"}, ...]}
     Single-class form: {"arrival_rate": ..., "service": ..., "order": "fifo"|"lifo"}
     """
+    import json  # only scenario files need it: a cold wait or cdf skips its import
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,7 +19,7 @@ so that every discipline has one definition that needs no numpy.
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .errors import NumericOverflowError, positive_finite
+from .errors import NumericOverflowError, positive_finite, store_double
 
 __all__ = [
     "FIFO",
@@ -48,7 +48,7 @@ class PriorityClass:
     service: object         # a law of .distributions
 
     def __post_init__(self):
-        positive_finite(self.lam, "arrival rate")
+        store_double(self, "lam", positive_finite(self.lam, "arrival rate"))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import math
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,3 +252,23 @@ def test_other_numbers_give_the_transform_at_their_double(d):
         got = d.lst(s)
         assert type(got) is float and got.hex() == d.lst(float(s)).hex(), s
     assert Exponential(1e300).lst(np.float32(0.5)) == 1.0
+
+
+@pytest.mark.parametrize("number", [np.float32, np.float64, Decimal, Fraction], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("law,params", [
+    (Exponential, ("5",)), (Exponential, ("3e38",)), (Uniform, ("1", "3")), (Uniform, ("0", "0.3")),
+    (Erlang2, ("4",)), (Gamma3, ("6.7",)), (lambda b: Erlang(5, b), ("0.3",)),
+])
+def test_law_parameters_of_any_number_type_compute_in_double(law, params, number):
+    # a float32 parameter was a float32 computation (exp(3e38) overflowed),
+    # and a Decimal one a TypeError in lst, though construction accepted it
+    args = [number(p) for p in params]
+    d, double = law(*args), law(*map(float, args))
+    assert repr(d) == repr(double)
+    for s in (0.0, 0.7, 3e38, math.inf):
+        got = d.lst(s)
+        assert type(got) is float and got.hex() == double.lst(s).hex(), s
+    assert type(d.moment1()) is float and d.moment1().hex() == double.moment1().hex()
+    for x in (0.0, 0.2, 1.5, 1e3):
+        got = d.cdf(x)
+        assert type(got) is float and got.hex() == double.cdf(x).hex(), x

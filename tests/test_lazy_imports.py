@@ -107,6 +107,25 @@ def test_cold_analytic_calls_leave_numpy_out(argv, code):
     assert _fresh(_RUN, *argv).splitlines()[-1] == "exit %d, numpy loaded: False" % code
 
 
+# quayside.cli.run(ARGS) in a fresh interpreter; its last line: json and csv if the call loaded them
+_RUN_PARSERS = """
+import sys
+preloaded = {"json", "csv"} & set(sys.modules)
+from quayside.cli import run
+code = run(sys.argv[1:])
+print("exit %d, loaded: %s" % (code, sorted(({"json", "csv"} & set(sys.modules)) - preloaded)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["wait", "--order", "fifo", *_MM1, "--s", "1", "--format", "text"],
+    ["cdf", "--order", "lifo", *_MM1, "--x", "3"],
+], ids=["wait", "cdf"])
+def test_cold_text_calls_leave_json_and_csv_out(argv):
+    # only scenario files need json, and only --format csv needs csv
+    assert _fresh(_RUN_PARSERS, *argv).splitlines()[-1] == "exit 0, loaded: []"
+
+
 def test_analytic_modules_leave_numpy_out():
     code = "import sys, quayside.waiting_time, quayside.reference_tables, quayside.lst_inversion; " \
            "print('numpy' in sys.modules)"

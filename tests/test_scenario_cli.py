@@ -142,6 +142,8 @@ def test_cli_usage_errors_exit_1():
         ["wait", "--order", "lifo", "--service", "exp(5)", "--rate", "nan", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "inf"],
         ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--x", "nan"],
+        # a bad x is reported before the overload is refused
+        ["cdf", "--order", "fifo", "--service", "exp(5)", "--rate", "6", "--x", "nan"],
         ["wait", "--order", "fifo", "--service", "erlang1(5)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "fifo", "--service", "exp(inf)", "--rate", "4", "--s", "1"],
         ["wait", "--order", "lifo", "--service", "unif(0,inf)", "--rate", "4", "--s", "1"],
@@ -207,10 +209,41 @@ def test_cli_bare_quayside_error_exits_2(monkeypatch, capsys):
     def fail(args, out):
         raise QuaysideError("no stationary answer")
 
-    monkeypatch.setitem(cli._COMMANDS, "wait", fail)
+    monkeypatch.setattr(cli, "_cmd_wait", fail)
     code, _ = run_cli(["wait", "--order", "fifo", "--service", "exp(5)", "--rate", "4", "--s", "1"])
     assert code == 2
     assert capsys.readouterr().err == "numeric failure: no stationary answer\n"
+
+
+COMMANDS = ["wait", "cdf", "traffic", "simulate", "estimate", "invert", "reproduce"]
+
+
+def _help_entries(command, monkeypatch, capsys):
+    """{option: its --help entry, with runs of whitespace as one space} of a subcommand."""
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as info:
+        run([command, "--help"])
+    assert info.value.code == 0
+    entries = {}
+    for line in capsys.readouterr().out.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            option = line.split()[0].rstrip(",")
+            entries[option] = line
+        elif line.startswith("   "):  # a help text wrapped onto its own lines
+            entries[option] += line
+    return {option: " ".join(entry.split()) for option, entry in entries.items()}
+
+
+@pytest.mark.parametrize("commands,options", [
+    (["wait", "cdf"], ["--order", "--service", "--rate"]),
+    (["cdf", "invert"], ["--inv-order"]),
+    (["traffic", "simulate"], ["--scenario"]),
+    (COMMANDS, ["--format"]),
+])
+def test_cli_shared_options_read_the_same_in_every_help(commands, options, monkeypatch, capsys):
+    helps = [_help_entries(command, monkeypatch, capsys) for command in commands]
+    for option in options:
+        assert len({h[option] for h in helps}) == 1, [h[option] for h in helps]
 
 
 def test_cli_unknown_table_message_is_unquoted(capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,3 +220,19 @@ def test_cumulative_coefficients_on_drawn_scenarios(classes):
         assert all(a <= b for a, b in zip(report.rho, report.rho[1:]))
     # the top class is never interrupted, so its coefficient is the same under all three
     assert len({report.rho[0] for report in reports}) == 1
+
+
+@pytest.mark.parametrize("number", [np.float32, np.float64, Decimal, Fraction], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+def test_class_rates_of_any_number_type_compute_in_double(discipline, number):
+    # a float32 rate gave float32 coefficients, and a Decimal one a TypeError
+    def scenario(rate):
+        return PriorityScenario(tuple(PriorityClass(rate(str(l)), Exponential(b))
+                                      for l, b in zip(LAMBDAS, EXP_RATES)), discipline)
+
+    sc = scenario(number)
+    got, want = traffic_coefficients(sc), traffic_coefficients(scenario(lambda v: float(number(v))))
+    assert all(type(c.lam) is float for c in sc.classes)
+    for field in ("sigma", "rho"):
+        assert [type(v) for v in getattr(got, field)] == [float] * len(LAMBDAS)
+        assert [v.hex() for v in getattr(got, field)] == [v.hex() for v in getattr(want, field)]

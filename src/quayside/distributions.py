@@ -92,8 +92,9 @@ _NAMES = {1: "exp", 3: "gamma3"}
 class Erlang:
     """Sum of k >= 1 independent exponentials with common rate b: transform (b/(s+b))^k.
 
-    At k = 1, the exponential, lst skips the power (a pow call per transform)
-    and cdf is -expm1(-bx): within 1.2 ulp, where the Poisson sum is up to 15 ulp off.
+    At k = 1, the exponential, lst skips the power (a pow call per transform),
+    sample skips the sum over one draw (a copy of every draw), and cdf is
+    -expm1(-bx): within 1.2 ulp, where the Poisson sum is up to 15 ulp off.
     """
 
     k: int
@@ -139,6 +140,8 @@ class Erlang:
     def sample(self, rng, size):
         """Each variate sums k consecutive exponential draws, so a run of
         variates does not depend on how many are drawn per call."""
+        if self.k == 1:
+            return rng.exponential(1.0 / self.rate, size)
         return rng.exponential(1.0 / self.rate, (size, self.k)).sum(axis=1)
 
     def literal(self):

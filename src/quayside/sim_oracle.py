@@ -1,14 +1,18 @@
 """Discrete-event simulation oracle for the single-server queue.
 
-One event engine runs every case: non-preemptive M|G|1 under FIFO or LIFO
-order, and the preemptive-priority queue under the resume / loss / repeat
-disciplines.  The order within a class is the only thing FIFO and LIFO
-change; preemption can only happen when there are at least two classes.
-Every run is driven by numpy substreams derived from one master seed
-(separate streams per class for interarrivals and service draws), so a
-given SimConfig always reproduces bit-identical results and adding a
-class does not perturb the other classes' draws.  Each stream is drawn in
-blocks of _CHUNK values per generator call; the block size changes no
+Single-class FIFO runs by Lindley's recursion: each arrival starts at its
+epoch or at the previous departure, whichever is later.  One event engine
+runs the other cases: non-preemptive M|G|1 under LIFO order, and the
+preemptive-priority queue under the resume / loss / repeat disciplines.
+Preemption can only happen when there are at least two classes, so a
+one-class priority run is the engine's FIFO queue, and it gives the
+recursion's result bit for bit: both take the same draws and the same
+float operations.  Every run is driven by numpy substreams derived from
+one master seed (separate streams per class for interarrivals and service
+draws), so a given SimConfig always reproduces bit-identical results and
+adding a class does not perturb the other classes' draws.  The engine
+draws each stream in blocks of _CHUNK values per generator call, the
+recursion draws a run's values in one call; the block size changes no
 result, because numpy's exponential and uniform draws do not depend on it
 and an Erlang service sums k consecutive draws.
 
@@ -44,8 +48,9 @@ from .traffic import FIFO, LIFO, REPEAT, RESUME, traffic_coefficients
 
 __all__ = ["SimConfig", "SimResult", "simulate_mg1", "simulate_priority"]
 
-# draws per generator call, turned into Python floats a block at a time:
-# a larger block leaves megabytes of objects behind and slows the caller
+# draws per engine generator call, and values per slice of the recursion,
+# turned into Python floats a block at a time: a larger block leaves
+# megabytes of objects behind and slows the caller
 _CHUNK = 1 << 11
 _BATCHES = 20
 # Student t quantile t_{0.975} with _BATCHES - 1 = 19 degrees of freedom,
@@ -129,11 +134,11 @@ def _ecdf(waits, grid):
 
 
 def _simulate(classes, discipline, cfg):
-    """The event loop behind both public entry points.
+    """The event loop behind LIFO and every priority run.
 
     `classes` holds (arrival rate, service law) pairs, highest priority
-    first; `discipline` is FIFO or LIFO (one class) or a preemption
-    discipline (FIFO within each class).
+    first; `discipline` is LIFO (one class) or a preemption discipline
+    (FIFO within each class).
     """
     warm = cfg.warmup
     arrivals = islice(_arrivals(cfg.seed, [rate for rate, _ in classes]),
@@ -201,6 +206,42 @@ def _simulate(classes, discipline, cfg):
     )
 
 
+def _lindley(a, d, cfg):
+    """Single-class FIFO by Lindley's recursion, in the engine's float operations.
+
+    Epochs are sequential running sums of the gaps, as the engine's; each
+    job starts at its epoch if the previous departure is not later (ties go
+    completion first) and departs at start + work.  An arrival that finds
+    the berth busy waits D - A > 0, so it found it idle exactly when its
+    wait is 0.0.  The busy time is a sequential sum, as the engine's.
+    """
+    n = cfg.total_arrivals + cfg.warmup
+    epochs = _substream(cfg.seed, 0, 0).exponential(1.0 / a, n)
+    np.cumsum(epochs, out=epochs)  # in place, here and below: each spares an array of n floats
+    work = d.sample(_substream(cfg.seed, 1, 0), n)
+    starts = np.empty(n)
+    done = 0.0
+    for lo in range(0, n, _CHUNK):
+        block = []
+        for at, w in zip(epochs[lo:lo + _CHUNK].tolist(), work[lo:lo + _CHUNK].tolist()):
+            start = at if done <= at else done
+            done = start + w
+            block.append(start)
+        starts[lo:lo + _CHUNK] = block
+    waits = np.subtract(starts, epochs, out=starts)[cfg.warmup:]
+    mean, half = _batch_means_ci(waits)
+    return SimResult(
+        mean,
+        half,
+        _ecdf(waits, cfg.ecdf_grid),
+        (float(np.cumsum(work, out=work)[-1]) / done,),
+        (n,),
+        (0,),
+        int(np.count_nonzero(waits == 0.0)) / cfg.total_arrivals,
+        done,
+    )
+
+
 def simulate_mg1(d, a, order, cfg):
     """Non-preemptive single-class queue; `order` is "fifo" or "lifo"."""
     if order not in (FIFO, LIFO):
@@ -211,7 +252,7 @@ def simulate_mg1(d, a, order, cfg):
         raise StationarityError(
             "oracle only runs stationary cases: traffic coefficient %.6g >= 1" % rho
         )
-    return _simulate(((a, d),), order, cfg)
+    return _lindley(a, d, cfg) if order == FIFO else _simulate(((a, d),), order, cfg)
 
 
 def simulate_priority(sc, cfg):

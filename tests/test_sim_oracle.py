@@ -11,7 +11,9 @@ import pytest
 
 import quayside
 from quayside import (
+    Erlang2,
     Exponential,
+    Gamma3,
     PriorityClass,
     PriorityScenario,
     SimConfig,
@@ -25,6 +27,8 @@ from quayside.reference_tables import traffic_scenario
 from quayside.sim_oracle import _CHUNK, _T_975, _arrivals, _substream
 
 MM1 = (Exponential(5), 4.0)  # rho = 0.8, mean wait 0.8, W(x) = 1 - 0.8 e^{-x}
+# one queue per law at rho = 0.8
+QUEUES = [MM1, (Erlang2(4), 1.6), (Gamma3(9), 2.4), (Uniform(1, 3), 0.4)]
 
 
 def small_cfg(seed=2016, n=2 * 10**5, grid=()):
@@ -145,6 +149,31 @@ def test_repeat_single_class_reduces_to_mg1_fifo(discipline):
     cfg = small_cfg(n=5 * 10**4, grid=(0.0, 1.0, 3.0))
     sc = PriorityScenario((PriorityClass(a, d),), discipline)
     assert simulate_priority(sc, cfg) == simulate_mg1(d, a, "fifo", cfg)
+
+
+@pytest.mark.parametrize("discipline", ["resume", "loss", "repeat"])
+@pytest.mark.parametrize("d,a", QUEUES, ids=[d.literal() for d, _ in QUEUES])
+def test_fifo_recursion_is_the_engines_one_class_queue(d, a, discipline):
+    # FIFO runs by Lindley's recursion, a one-class priority run on the event
+    # engine: the same draws and float operations give the same bits, on
+    # either side of a block boundary and over many blocks
+    sc = PriorityScenario((PriorityClass(a, d),), discipline)
+    for seed in (1, 7):
+        for n in (1, 19, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10**5):
+            cfg = small_cfg(seed=seed, n=n, grid=(0.0, 0.5, 2.0))
+            assert simulate_mg1(d, a, "fifo", cfg) == simulate_priority(sc, cfg), (seed, n)
+
+
+@pytest.mark.parametrize("order", ["fifo", "lifo"])
+@pytest.mark.parametrize("d,a", QUEUES, ids=[d.literal() for d, _ in QUEUES])
+def test_idle_arrivals_are_exactly_the_zero_waits(d, a, order):
+    # a job that finds the berth busy waits a departure minus its arrival,
+    # which is > 0 exactly; one that finds it idle waits 0.0, no rounding.
+    # The ECDF at the negative double nearest 0 counts the waits below 0.
+    for seed in (1, 7, 123):
+        for n in (19, 2 * 10**4):
+            res = simulate_mg1(d, a, order, small_cfg(seed=seed, n=n, grid=(-math.ulp(0.0), 0.0)))
+            assert res.ecdf == (0.0, res.idle_at_arrival), (seed, n)
 
 
 def test_arrival_merge_matches_running_sums():
